@@ -29,7 +29,7 @@ Commands:
 ``experiment FIGURE``
     Run one of the paper-figure experiment drivers (fig01, fig04,
     fig10, fig11_left, fig11_right, fig12, fig13, fig14, fig15, fig16,
-    fig17) and print its table.  ``--jobs N`` fans the driver's
+    fig17) and print its table.  ``--workers N`` fans the driver's
     simulation cells across N worker processes; results are served from
     (and persisted to) a content-addressed cache unless ``--no-cache``.
     Sweeps are fault-tolerant (``docs/resilience.md``): failing cells
@@ -43,7 +43,7 @@ Commands:
     Run every figure driver (and optionally the ablations) and write a
     markdown report with an embedded provenance manifest.  One executor
     is shared across all sections, so overlapping figures never
-    simulate the same cell twice; ``--jobs`` / ``--no-cache`` /
+    simulate the same cell twice; ``--workers`` / ``--no-cache`` /
     ``--cache-dir`` and the resilience flags (``--resume``,
     ``--max-retries``, ``--cell-timeout``, ``--allow-partial``,
     ``--faults``) work as for ``experiment``.  With ``--allow-partial``
@@ -57,16 +57,15 @@ Commands:
     result/manifest retrieval.  ``--host``/``--port`` pick the bind
     address (``--port 0`` asks the OS for a free port, announced on
     stdout); ``--cache-dir`` locates the shared cache and the service's
-    job journal; ``--jobs`` fans each sweep's cells across worker
+    job journal; ``--workers`` fans each sweep's cells across worker
     processes.  A server killed mid-sweep resumes its journaled jobs on
     restart with zero re-simulation.  Exits 0 on clean (signal)
     shutdown, 1 when serving fails (e.g. the port is taken), 2 on
     invalid options.
 ``verify``
     Run the differential/metamorphic oracle suite (``repro.verify``):
-    fast-path vs event-engine equivalence, run-to-run determinism,
-    TEMPO's replay-reduction metamorphic, trace-length monotonicity,
-    and a full online-audit run.  ``--quick`` shrinks the runs for CI
+    run-to-run determinism, TEMPO's replay-reduction metamorphic,
+    trace-length monotonicity, and a full online-audit run.  ``--quick`` shrinks the runs for CI
     smoke use; exits 1 when any oracle fails.
 ``lint [PATHS...]``
     Run simlint, the AST-based invariant linter (default target:
@@ -159,7 +158,6 @@ def _build_executor(args):
 
         telemetry = TelemetryLog(args.telemetry)
     return ExperimentExecutor(
-        jobs=args.jobs,
         workers=args.workers,
         cache=cache,
         resilience=policy,
@@ -167,7 +165,6 @@ def _build_executor(args):
         resume=args.resume,
         check_invariants=_invariant_mode(args),
         telemetry=telemetry,
-        kernel=getattr(args, "kernel", None),
     )
 
 
@@ -259,7 +256,6 @@ def _cmd_run(args, out):
         seed=args.seed,
         tracer=tracer,
         check_invariants=_invariant_mode(args),
-        kernel=args.kernel,
     )
     _print_result(result, out)
     _export_observability(result, tracer, args, out)
@@ -276,7 +272,6 @@ def _cmd_stats(args, out):
         seed=args.seed,
         tracer=tracer,
         check_invariants=_invariant_mode(args),
-        kernel=args.kernel,
     )
     stats = result.stats
     if args.filter:
@@ -333,8 +328,7 @@ def _cmd_timeline(args, out):
 def _cmd_compare(args, out):
     config = _build_config(args)
     baseline, tempo = run_baseline_and_tempo(
-        _resolve_workload(args), config, length=args.length, seed=args.seed,
-        kernel=getattr(args, "kernel", None),
+        _resolve_workload(args), config, length=args.length, seed=args.seed
     )
     out.write("baseline cycles: %d\n" % baseline.total_cycles)
     out.write("tempo cycles:    %d\n" % tempo.total_cycles)
@@ -530,18 +524,13 @@ def _cmd_serve(args, out):
     if not 0 <= args.port <= 65535:
         out.write("error: --port must be in 0..65535 (got %d)\n" % args.port)
         return 2
-    effective_workers = args.workers if args.workers is not None else args.jobs
-    if effective_workers < 1:
-        out.write(
-            "error: --workers must be >= 1 (got %d)\n" % effective_workers
-        )
+    if args.workers < 1:
+        out.write("error: --workers must be >= 1 (got %d)\n" % args.workers)
         return 2
     try:
         service = build_service(
             cache_dir=args.cache_dir,
-            jobs=args.jobs,
             workers=args.workers,
-            kernel=args.kernel,
             check_invariants=_invariant_mode(args),
             max_retries=args.max_retries,
             cell_timeout=args.cell_timeout,
@@ -587,17 +576,6 @@ def build_parser():
         sub.add_argument("--imp", action="store_true", help="enable the IMP prefetcher")
         sub.add_argument("--memhog", type=float, help="memhog fragmentation fraction")
 
-    def add_kernel_flag(sub):
-        sub.add_argument(
-            "--kernel",
-            choices=("scalar", "batch"),
-            default="scalar",
-            help="hot-loop kernel: 'scalar' resolves one reference at a "
-            "time, 'batch' classifies chunks against struct-of-arrays "
-            "snapshots and bulk-applies the regular majority "
-            "(bit-identical; see docs/performance.md)",
-        )
-
     def add_invariant_flag(sub):
         sub.add_argument(
             "--check-invariants",
@@ -624,7 +602,6 @@ def build_parser():
     add_common(run_parser)
     add_observability(run_parser)
     add_invariant_flag(run_parser)
-    add_kernel_flag(run_parser)
     run_parser.add_argument("--no-tempo", action="store_true", help="disable TEMPO")
 
     stats_parser = subparsers.add_parser(
@@ -633,7 +610,6 @@ def build_parser():
     add_common(stats_parser)
     add_observability(stats_parser)
     add_invariant_flag(stats_parser)
-    add_kernel_flag(stats_parser)
     stats_parser.add_argument("--no-tempo", action="store_true", help="disable TEMPO")
     stats_parser.add_argument(
         "--filter",
@@ -677,7 +653,6 @@ def build_parser():
 
     compare_parser = subparsers.add_parser("compare", help="baseline vs TEMPO")
     add_common(compare_parser)
-    add_kernel_flag(compare_parser)
 
     trace_parser = subparsers.add_parser("trace", help="generate a trace file")
     trace_parser.add_argument("workload")
@@ -689,17 +664,10 @@ def build_parser():
         sub.add_argument(
             "--workers",
             type=int,
-            default=None,
-            metavar="N",
-            help="persistent pool workers for independent simulation cells "
-            "(default: 1; wins over the legacy --jobs alias)",
-        )
-        sub.add_argument(
-            "--jobs",
-            type=int,
             default=1,
             metavar="N",
-            help="legacy alias for --workers (default: 1)",
+            help="persistent pool workers for independent simulation cells "
+            "(default: 1)",
         )
         sub.add_argument(
             "--heartbeat-timeout",
@@ -773,7 +741,6 @@ def build_parser():
     experiment_parser.add_argument("--workloads", nargs="*", default=None)
     add_executor_flags(experiment_parser)
     add_invariant_flag(experiment_parser)
-    add_kernel_flag(experiment_parser)
 
     report_parser = subparsers.add_parser(
         "report", help="run every figure driver and write a markdown report"
@@ -784,7 +751,6 @@ def build_parser():
     )
     add_executor_flags(report_parser)
     add_invariant_flag(report_parser)
-    add_kernel_flag(report_parser)
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -812,18 +778,10 @@ def build_parser():
     serve_parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        metavar="N",
-        help="persistent pool workers each job's cells fan out across "
-        "(jobs themselves run one at a time; default: 1; wins over the "
-        "legacy --jobs alias)",
-    )
-    serve_parser.add_argument(
-        "--jobs",
-        type=int,
         default=1,
         metavar="N",
-        help="legacy alias for --workers (default: 1)",
+        help="persistent pool workers each job's cells fan out across "
+        "(jobs themselves run one at a time; default: 1)",
     )
     serve_parser.add_argument(
         "--heartbeat-timeout",
@@ -860,7 +818,6 @@ def build_parser():
         "'seed=0,kill=0.3,abort-after=4'",
     )
     add_invariant_flag(serve_parser)
-    add_kernel_flag(serve_parser)
 
     verify_parser = subparsers.add_parser(
         "verify", help="run the differential/metamorphic oracle suite"

@@ -34,8 +34,8 @@ _RADIX_MASK = PT_ENTRIES - 1
 #: Precomputed masks for the per-record hot paths: the cache-line mask
 #: and the per-page-size offset masks are applied millions of times per
 #: simulation, so they are built once here instead of re-deriving
-#: ``~(size - 1)`` on every call.  The simulator's fast path binds these
-#: to locals directly.
+#: ``~(size - 1)`` on every call.  The simulator's per-record engine
+#: applies them directly.
 LINE_MASK = ~(CACHE_LINE_BYTES - 1)
 PAGE_OFFSET_MASKS: Dict[int, int] = {size: size - 1 for size in PAGE_SHIFTS}
 

@@ -40,7 +40,8 @@ from repro.obs.manifest import config_hash
 #: entries become unreachable rather than misread.  Schema 2: the
 #: exported stats namespace grew (scheduler, row-policy, prefetch
 #: engine, frame-allocator, and page-table groups are now registered).
-PAYLOAD_SCHEMA = 2
+#: Schema 3: the ``manifest.kernel`` stat is gone with the batch kernel.
+PAYLOAD_SCHEMA = 3
 
 
 def _package_version() -> str:

@@ -58,16 +58,14 @@ from repro.exec.serialize import payload_to_result, result_to_payload
 from repro.exec.telemetry import TelemetryLog
 
 
-def simulate_cell(cell, cache=None, trace_memo=None, check_invariants=None, kernel=None):
+def simulate_cell(cell, cache=None, trace_memo=None, check_invariants=None):
     """Run one cell to completion and return its payload dict.
 
     *cache* (a :class:`~repro.exec.cache.ResultCache`) supplies and
     receives persisted traces; *trace_memo* is an optional in-process
     ``(name, length, seed) -> Trace`` memo for serial execution;
     *check_invariants* (``off``/``sample``/``full``) arms the online
-    audit suite for the run; *kernel* (``scalar``/``batch``) selects the
-    hot-loop kernel (bit-identical results either way -- the choice is
-    recorded in the payload's ``manifest.kernel`` stat).
+    audit suite for the run.
     """
     # Imported here so pool workers pay the import once per process and
     # the module stays importable without the full sim stack.
@@ -92,44 +90,34 @@ def simulate_cell(cell, cache=None, trace_memo=None, check_invariants=None, kern
         traces,
         seed=cell.seed,
         check_invariants=check_invariants,
-        kernel=kernel,
     ).run()
     return result_to_payload(result)
 
 
 class ExperimentExecutor:
     """Schedules cells across the worker pool, through the cache, in
-    order.  ``workers`` is the pool size; ``jobs`` is its legacy alias
-    (kept for callers and flags that predate the pool -- when both are
-    given, ``workers`` wins)."""
+    order.  ``workers`` is the pool size."""
 
     def __init__(
         self,
-        jobs: int = 1,
+        workers: int = 1,
         cache: Optional[ResultCache] = None,
         resilience: Optional[ResiliencePolicy] = None,
         faults: Optional[Union[FaultSpec, FaultPlan]] = None,
         resume: bool = False,
         check_invariants: Optional[str] = None,
         telemetry: Optional[TelemetryLog] = None,
-        kernel: Optional[str] = None,
-        workers: Optional[int] = None,
         pool: Optional[PoolConfig] = None,
     ) -> None:
-        effective = workers if workers is not None else jobs
-        if effective < 1:
+        if workers < 1:
             raise ValueError("workers must be >= 1")
         #: Pool size: how many persistent worker processes a batch that
         #: needs process isolation fans out across.
-        self.workers = effective
+        self.workers = workers
         #: Optional :class:`~repro.exec.pool.PoolConfig` override for
         #: supervision knobs (heartbeat cadence, poison threshold).
         #: When set it is used verbatim, including its ``workers``.
         self.pool = pool
-        #: ``scalar``/``batch``: the hot-loop kernel every simulation
-        #: this executor runs uses (recorded in each result's
-        #: ``manifest.kernel``; both kernels are bit-identical).
-        self.kernel = kernel or "scalar"
         #: Optional :class:`~repro.exec.telemetry.TelemetryLog`: every
         #: batch/cell lifecycle event is appended to its JSONL file.
         self.telemetry = telemetry
@@ -190,12 +178,6 @@ class ExperimentExecutor:
         #: :meth:`summary` and the report's provenance section.
         self.quarantine_reasons = {}
 
-    @property
-    def jobs(self):
-        """Legacy alias for :attr:`workers` (pre-pool callers and the
-        service health endpoint read it)."""
-        return self.workers
-
     # ------------------------------------------------------------------
     # Job scoping -- the hooks the sweep service builds on.  One
     # long-lived executor serves many submitted jobs back to back; these
@@ -216,18 +198,16 @@ class ExperimentExecutor:
         }
 
     @contextlib.contextmanager
-    def job_scope(self, telemetry=None, kernel=None, resilience=None, resume=None):
+    def job_scope(self, telemetry=None, resilience=None, resume=None):
         """Temporarily override per-job knobs; restores them on exit.
 
         ``None`` keeps the executor's current value.  Callers must not
         overlap scopes -- the sweep service serializes jobs around the
         shared executor precisely so this swap is race-free.
         """
-        saved = (self.telemetry, self.kernel, self.resilience, self.resume)
+        saved = (self.telemetry, self.resilience, self.resume)
         if telemetry is not None:
             self.telemetry = telemetry
-        if kernel is not None:
-            self.kernel = kernel
         if resilience is not None:
             self.resilience = resilience
         if resume is not None:
@@ -235,7 +215,7 @@ class ExperimentExecutor:
         try:
             yield self
         finally:
-            self.telemetry, self.kernel, self.resilience, self.resume = saved
+            self.telemetry, self.resilience, self.resume = saved
 
     # ------------------------------------------------------------------
 
@@ -352,14 +332,16 @@ class ExperimentExecutor:
 
         def on_done(key, payload, attempt):
             self.counters["simulated"] += 1
-            if telemetry is not None:
-                telemetry.cell_done(key, attempt)
             self._memo[key] = payload
             resolved[key] = payload
+            # Persist first, announce second: a consumer acting on
+            # ``cell_done`` (a resume after a kill) must find it durable.
             if self.cache is not None:
                 self.cache.put(key, payload)
             if checkpoint is not None:
                 checkpoint.record(key, "done", attempt)
+            if telemetry is not None:
+                telemetry.cell_done(key, attempt)
 
         def on_failed(failure):
             failures.append(failure)
@@ -404,7 +386,6 @@ class ExperimentExecutor:
                 self.cache,
                 self._trace_memo,
                 check_invariants=self.check_invariants,
-                kernel=self.kernel,
             )
 
         def on_worker(action, worker_id, info):
@@ -414,7 +395,6 @@ class ExperimentExecutor:
         worker_context = WorkerContext(
             cache_root=self.cache.root if self.cache is not None else None,
             check_invariants=self.check_invariants,
-            kernel=self.kernel,
         )
 
         stats = execute_resilient(

@@ -106,7 +106,6 @@ class WorkerContext:
 
     cache_root: Optional[str] = None
     check_invariants: Optional[str] = None
-    kernel: Optional[str] = None
 
 
 def _pool_worker(
@@ -187,7 +186,6 @@ def _pool_worker(
                     cache,
                     trace_memo,
                     check_invariants=context.check_invariants,
-                    kernel=context.kernel,
                 )
             except BaseException as exc:
                 if not post(

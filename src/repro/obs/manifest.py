@@ -41,7 +41,7 @@ def executor_provenance(executor: Any) -> List[Tuple[str, str]]:
             "executor",
             "workers=%d; %d simulated, %d cache hits, %d memo hits, %d deduplicated"
             % (
-                executor.jobs,
+                executor.workers,
                 counters.get("simulated", 0),
                 counters.get("cache_hits", 0),
                 counters.get("memo_hits", 0),
@@ -97,13 +97,7 @@ def executor_provenance(executor: Any) -> List[Tuple[str, str]]:
         if counters.get(name, 0)
     ]
     if modes:
-        rows.append(
-            (
-                "execution",
-                "kernel=%s; %s"
-                % (getattr(executor, "kernel", "scalar"), ", ".join(modes)),
-            )
-        )
+        rows.append(("execution", ", ".join(modes)))
     reasons: Mapping[str, int] = getattr(executor, "quarantine_reasons", None) or {}
     if reasons:
         rows.append(
@@ -150,12 +144,11 @@ class RunManifest:
         "warmup_records",
         "package_version",
         "python_version",
-        "kernel",
         "timings",
         "audit",
     )
 
-    def __init__(self, config: Any, seed: int, traces: Sequence[Any], warmup_records: Optional[int] = None, timings: Optional[Mapping[str, float]] = None, kernel: str = "scalar") -> None:
+    def __init__(self, config: Any, seed: int, traces: Sequence[Any], warmup_records: Optional[int] = None, timings: Optional[Mapping[str, float]] = None) -> None:
         # Imported here: repro/__init__ imports the sim stack which may
         # import us; reaching for the version lazily avoids the cycle.
         from repro import __version__
@@ -175,10 +168,6 @@ class RunManifest:
         self.warmup_records = warmup_records
         self.package_version = __version__
         self.python_version = platform.python_version()
-        #: Which hot-loop kernel produced the result ("scalar" or
-        #: "batch").  Cached cells carry this in their stats payload, so
-        #: a report can always say which kernel simulated each cell.
-        self.kernel = kernel
         #: Wall-clock phase timings + throughput, filled in by the
         #: simulator's profiler after the run.
         self.timings: Dict[str, float] = dict(timings) if timings else {}
@@ -201,7 +190,6 @@ class RunManifest:
             "warmup_records": self.warmup_records,
             "package_version": self.package_version,
             "python_version": self.python_version,
-            "kernel": self.kernel,
             "timings": self.timings,
         }
         if self.audit is not None:
@@ -216,7 +204,6 @@ class RunManifest:
             "%s.num_cores" % prefix: self.num_cores,
             "%s.package_version" % prefix: self.package_version,
             "%s.python_version" % prefix: self.python_version,
-            "%s.kernel" % prefix: self.kernel,
             "%s.workloads" % prefix: "+".join(t["name"] for t in self.traces),
             "%s.trace_records" % prefix: sum(t["records"] for t in self.traces),
         }

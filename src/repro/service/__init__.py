@@ -51,21 +51,18 @@ def service_root(cache_dir: str) -> str:
 
 def build_service(
     cache_dir: Optional[str] = None,
-    jobs: int = 1,
-    kernel: Optional[str] = None,
+    workers: int = 1,
     check_invariants: Optional[str] = None,
     max_retries: int = 2,
     cell_timeout: Optional[float] = None,
     heartbeat_timeout: float = 10.0,
     allow_partial: bool = False,
     faults: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> SweepService:
     """One call from CLI flags (or test kwargs) to a ready service.
 
     ``workers`` sizes the persistent pool each job's cells fan out
-    across (``jobs`` is its legacy alias; when both are given,
-    ``workers`` wins).  The executor is created with ``resume=True`` --
+    across.  The executor is created with ``resume=True`` --
     the service always trusts checkpoint journals, which is exactly
     what makes a restarted server pick a killed sweep back up where it
     stopped.
@@ -80,7 +77,6 @@ def build_service(
 
     root = cache_dir or default_cache_dir()
     executor = ExperimentExecutor(
-        jobs=jobs,
         workers=workers,
         cache=ResultCache(root),
         resilience=ResiliencePolicy(
@@ -94,7 +90,6 @@ def build_service(
         check_invariants=(
             None if check_invariants in (None, "off") else check_invariants
         ),
-        kernel=kernel,
     )
     store = JobStore(service_root(root))
     return SweepService(JobRunner(executor, store))

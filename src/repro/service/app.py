@@ -267,8 +267,7 @@ class SweepService:
                 "status": "ok",
                 "jobs": self.store.states(),
                 "executor": {
-                    "jobs": executor.jobs,
-                    "kernel": executor.kernel,
+                    "workers": executor.workers,
                     "counters": executor.counters_snapshot(),
                 },
                 "cache": {

@@ -156,7 +156,6 @@ class ServiceClient:
         length: Optional[int] = None,
         seed: int = 0,
         workloads: Optional[Sequence[str]] = None,
-        kernel: Optional[str] = None,
         check_invariants: Optional[str] = None,
         max_retries: Optional[int] = None,
         cell_timeout: Optional[float] = None,
@@ -168,8 +167,6 @@ class ServiceClient:
             spec["length"] = length
         if workloads is not None:
             spec["workloads"] = list(workloads)
-        if kernel is not None:
-            spec["kernel"] = kernel
         if check_invariants is not None:
             spec["check_invariants"] = check_invariants
         if max_retries is not None:

@@ -121,7 +121,6 @@ class Job:
             length=spec_payload.get("length"),
             seed=spec_payload.get("seed", 0),
             workloads=tuple(workloads) if workloads else None,
-            kernel=spec_payload.get("kernel"),
             check_invariants=spec_payload.get("check_invariants"),
             max_retries=spec_payload.get("max_retries"),
             cell_timeout=spec_payload.get("cell_timeout"),
@@ -253,7 +252,6 @@ class JobRunner:
             "figure": job.spec.figure,
             "spec": job.spec.canonical(),
             "spec_sha256": job.spec.digest(),
-            "kernel": job.spec.kernel or self.executor.kernel,
             "counters": dict(job.counters),
             "resumes": job.resumes,
             "executor": {
@@ -303,7 +301,6 @@ class JobRunner:
             info = driver_catalog()[spec.figure]
             with self.executor.job_scope(
                 telemetry=telemetry,
-                kernel=spec.kernel,
                 resilience=self._job_resilience(spec),
                 resume=True,
             ):

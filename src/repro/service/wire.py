@@ -9,7 +9,7 @@ A *job spec* names a figure or ablation driver by its registry id
 (:data:`repro.analysis.experiments.EXPERIMENT_DRIVERS` |
 :data:`repro.analysis.ablations.ABLATION_DRIVERS`) plus the driver
 overrides (``length``, ``seed``, ``workloads``) and per-job executor
-options (``kernel``, ``check_invariants``, retry policy).  Validation
+options (``check_invariants``, retry policy).  Validation
 is strict -- unknown keys, unknown figures, unknown workload names, and
 workload lists that contradict the driver's shape are all
 :class:`WireError`, which the server maps to HTTP 400 with the error's
@@ -27,7 +27,7 @@ from repro.common.errors import ReproError
 
 #: Version of every request/response body this package speaks; carried
 #: in each response envelope and in persisted job records.
-WIRE_SCHEMA = 1
+WIRE_SCHEMA = 2
 
 #: The keys a job-spec body may carry, and nothing else.
 _SPEC_KEYS = (
@@ -35,14 +35,12 @@ _SPEC_KEYS = (
     "length",
     "seed",
     "workloads",
-    "kernel",
     "check_invariants",
     "max_retries",
     "cell_timeout",
     "allow_partial",
 )
 
-_KERNELS = ("scalar", "batch")
 _INVARIANT_MODES = ("off", "sample", "full")
 
 
@@ -100,7 +98,6 @@ class JobSpec:
     length: Optional[int] = None
     seed: int = 0
     workloads: Optional[Tuple[str, ...]] = None
-    kernel: Optional[str] = None
     check_invariants: Optional[str] = None
     max_retries: Optional[int] = None
     cell_timeout: Optional[float] = None
@@ -114,7 +111,6 @@ class JobSpec:
             "length": self.length,
             "seed": self.seed,
             "workloads": list(self.workloads) if self.workloads else None,
-            "kernel": self.kernel,
             "check_invariants": self.check_invariants,
             "max_retries": self.max_retries,
             "cell_timeout": self.cell_timeout,
@@ -190,13 +186,6 @@ def parse_job_spec(payload: Any) -> JobSpec:
 
     workloads = _parse_workloads(payload.get("workloads"), info)
 
-    kernel = payload.get("kernel")
-    if kernel is not None:
-        _require(
-            kernel in _KERNELS,
-            "kernel must be one of %s" % (_KERNELS,),
-            {"kernel": kernel},
-        )
     invariants = payload.get("check_invariants")
     if invariants is not None:
         _require(
@@ -236,7 +225,6 @@ def parse_job_spec(payload: Any) -> JobSpec:
         length=length,
         seed=seed,
         workloads=workloads,
-        kernel=kernel,
         check_invariants=invariants,
         max_retries=max_retries,
         cell_timeout=cell_timeout,

@@ -17,14 +17,9 @@ def _resolve_trace(workload, length, seed):
     return make_trace(workload, length=length, seed=seed)
 
 
-def _can_use_executor(
-    executor, workload, max_records, tracer, progress, timeline=None, kernel=None
-):
+def _can_use_executor(executor, workload, max_records, tracer, progress, timeline=None):
     """Executor cells are whole named-workload runs with no live hooks;
-    anything else falls back to the direct path.  A kernel request only
-    routes through the executor when it matches the executor's own
-    kernel (the cache is kernel-agnostic -- both kernels are
-    bit-identical -- but the manifest must record the right producer)."""
+    anything else falls back to the direct path."""
     return (
         executor is not None
         and isinstance(workload, str)
@@ -32,7 +27,6 @@ def _can_use_executor(
         and tracer is None
         and progress is None
         and timeline is None
-        and (kernel is None or kernel == getattr(executor, "kernel", "scalar"))
     )
 
 
@@ -47,7 +41,6 @@ def run_workload(
     executor=None,
     check_invariants=None,
     timeline=None,
-    kernel=None,
 ):
     """Simulate one workload (a name or a prebuilt Trace) on *config*.
 
@@ -65,9 +58,7 @@ def run_workload(
     """
     if config is None:
         config = default_system_config()
-    if _can_use_executor(
-        executor, workload, max_records, tracer, progress, timeline, kernel
-    ):
+    if _can_use_executor(executor, workload, max_records, tracer, progress, timeline):
         from repro.exec import SimCell
 
         return executor.run_cell(SimCell(workload, config, length, seed))
@@ -80,24 +71,23 @@ def run_workload(
         progress=progress,
         check_invariants=check_invariants,
         timeline=timeline,
-        kernel=kernel,
     )
     return simulator.run(max_records)
 
 
 def run_baseline_and_tempo(
     workload, config=None, length=20000, seed=0, max_records=None, progress=None,
-    executor=None, check_invariants=None, kernel=None,
+    executor=None, check_invariants=None,
 ):
     """Run the same trace with TEMPO off and on.
 
     Returns ``(baseline_result, tempo_result)`` -- the comparison behind
     every performance figure in the paper.  With *executor*, the two
-    runs are submitted as one batch (so ``jobs=2`` overlaps them).
+    runs are submitted as one batch (so ``workers=2`` overlaps them).
     """
     if config is None:
         config = default_system_config()
-    if _can_use_executor(executor, workload, max_records, None, progress, None, kernel):
+    if _can_use_executor(executor, workload, max_records, None, progress):
         from repro.exec import SimCell
 
         baseline, tempo = executor.run_cells(
@@ -110,11 +100,11 @@ def run_baseline_and_tempo(
     trace = _resolve_trace(workload, length, seed)
     baseline = SystemSimulator(
         config.with_tempo(False), [trace], seed=seed, progress=progress,
-        check_invariants=check_invariants, kernel=kernel,
+        check_invariants=check_invariants,
     ).run(max_records)
     tempo = SystemSimulator(
         config.with_tempo(True), [trace], seed=seed, progress=progress,
-        check_invariants=check_invariants, kernel=kernel,
+        check_invariants=check_invariants,
     ).run(max_records)
     return baseline, tempo
 

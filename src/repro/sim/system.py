@@ -19,9 +19,10 @@ Cycle accounting lands in the Figure-1 buckets (DRAM-PTW / DRAM-Replay /
 DRAM-Other), DRAM reference counting in the Figure-4 buckets, and replay
 service classification in the Figure-11 buckets.
 
-Multiprogrammed runs are event-driven: each core's engine is a generator
-that yields its memory requests; the driver lets every core run until it
-blocks, then services the shared memory controller's queues in
+Multiprogrammed runs are event-driven: a record that needs the memory
+controller continues as a generator that yields its memory requests; the
+driver lets every core run until it blocks, then services the shared
+memory controller's queues in
 decision-time order until someone's request completes -- so requests
 from different cores genuinely contend in the transaction queues.  Cores
 share the LLC, the memory controller, and physical memory, but have
@@ -46,7 +47,6 @@ from repro.obs.profiler import PhaseProfiler, ProgressMeter
 from repro.obs.registry import MetricsRegistry
 from repro.sched.controller import MemoryController
 from repro.sched.request import KIND_DEMAND, KIND_IMP_PREFETCH, KIND_PT, MemoryRequest
-from repro.sim.kernel import DEFAULT_BATCH_SIZE, BatchKernel
 from repro.sim.metrics import (
     CoreResult,
     DramReferenceBreakdown,
@@ -57,10 +57,6 @@ from repro.sim.metrics import (
 from repro.vm.address_space import AddressSpace
 from repro.vm.frame_allocator import FrameAllocator
 from repro.vm.superpage import make_policy
-
-#: Sentinel for :meth:`SystemSimulator._record_events`: "no TLB probe
-#: was done yet, perform it inside the engine".
-_TLB_PROBE = object()
 
 
 class _CoreContext:
@@ -127,10 +123,7 @@ class SystemSimulator:
         progress=None,
         progress_interval=5000,
         check_invariants=None,
-        force_engine=False,
         timeline=None,
-        kernel=None,
-        batch_size=DEFAULT_BATCH_SIZE,
     ):
         if isinstance(traces, (list, tuple)):
             trace_list = list(traces)
@@ -161,27 +154,6 @@ class SystemSimulator:
         self.timeline = timeline
         self._progress = progress
         self._progress_interval = progress_interval
-        #: When True, every record goes through the event engine even
-        #: when the TLB-hit fast path would apply (the fast-vs-engine
-        #: differential oracle forces both paths on the same input).
-        self._force_engine = bool(force_engine)
-        #: Which hot-loop kernel drives regular records: "scalar" (the
-        #: per-reference fast path) or "batch" (the vectorized
-        #: chunk-classify kernel in :mod:`repro.sim.kernel`).  Both are
-        #: bit-identical; "batch" trades per-record dispatch for bulk
-        #: stat application.
-        if kernel not in (None, "scalar", "batch"):
-            raise ConfigError(
-                "kernel must be 'scalar' or 'batch', got %r" % (kernel,),
-                context={"kernel": kernel},
-            )
-        self.kernel = kernel or "scalar"
-        if batch_size < 1:
-            raise ConfigError(
-                "batch_size must be >= 1, got %r" % (batch_size,),
-                context={"batch_size": batch_size, "kernel": self.kernel},
-            )
-        self._batch_size = int(batch_size)
         #: Nullable invariant-audit suite + flight recorder
         #: (:mod:`repro.verify`); like the tracer, hot paths pay one
         #: ``is None`` test when ``check_invariants`` is off.
@@ -327,33 +299,18 @@ class SystemSimulator:
             self.seed,
             [core.trace for core in self.cores],
             warmup_records=warmup,
-            kernel=self.kernel,
         )
         sampler = self.timeline.sampler if self.timeline is not None else None
         if sampler is not None:
             sampler.bind(lambda: self.metrics_registry().collect())
         profiler = self.profiler
-        # The batch kernel only claims regular records on cores without
-        # observers attached; tracing, timelines, audits, force-engine,
-        # and IMP all drain through the scalar engine paths unchanged.
-        batch_ok = (
-            self.kernel == "batch"
-            and self.tracer is None
-            and self.timeline is None
-            and self.audit is None
-            and not self._force_engine
-        )
         try:
             if len(self.cores) == 1:
                 profiler.begin("warmup" if warmup > 0 else "measure")
-                core = self.cores[0]
-                if batch_ok and core.imp is None:
-                    self._run_batch_single(core, limits[0], warmup, meter)
-                else:
-                    self._run_single(core, limits[0], warmup, meter)
+                self._run_single(self.cores[0], limits[0], warmup, meter)
             else:
                 profiler.begin("simulate")
-                self._run_interleaved(limits, warmup, meter, batch=batch_ok)
+                self._run_interleaved(limits, warmup, meter)
             profiler.begin("drain")
             final_time = self.controller.drain_all()
             if self.audit is not None:
@@ -412,95 +369,24 @@ class SystemSimulator:
         core.replay_service = ReplayServiceBreakdown()
 
     def _run_single(self, core, limit, warmup, meter=None):
-        """Single-core driver with a TLB-hit fast path.
-
-        Records whose translation hits the TLB -- the overwhelming
-        majority on every workload -- are processed inline: no
-        generator, no event dispatch, and every hot callable/constant
-        bound to a local.  The inline path performs exactly the
-        operations of :meth:`_record_events` /
-        :meth:`_post_translation` in the same order, so results are
-        bit-identical to the event engine (test_system_fast_path pins
-        this against the traced run, which uses the engine for every
-        record).  TLB misses fall back to the engine with the probe
-        already done (a second lookup would perturb LRU state and hit
-        counters); tracing or IMP disable the fast path entirely.
-        """
+        """Single-core driver: every record starts in :meth:`_reference`,
+        which serves a TLB hit's DRAM access in place through the
+        controller's ``submit_and_wait``; a walk or an IMP trigger
+        finishes through its event generator, answered synchronously."""
         records = core.trace.records
-        fast = (
-            self.tracer is None
-            and core.imp is None
-            and not self._force_engine
-            and self.timeline is None
-        )
-        sampler = self.timeline.sampler if self.timeline is not None else None
-
+        reference = self._reference
+        submit = self.controller.submit_and_wait
+        drive_events = self._drive_events
         audit = self.audit
-        recorder = self.recorder
-        controller = self.controller
-        hierarchy = self.hierarchy
-        nonmem_per_gap = self._nonmem_per_gap
-        tlb_lookup = core.tlb.lookup
-        access = hierarchy.access
-        drain_writebacks = hierarchy.drain_writebacks
-        fill_from_memory = hierarchy.fill_from_memory
-        submit_and_wait = controller.submit_and_wait
-        submit_writeback = controller.submit_writeback
-        record_llc_fill = self.energy.record_llc_fill
-        offset_masks = PAGE_OFFSET_MASKS
-        cpu = core.cpu
-        runtime = core.runtime
-        dram_refs = core.dram_refs
-
+        sampler = self.timeline.sampler if self.timeline is not None else None
         while core.position < limit:
             if core.position == warmup:
                 self._reset_measurement(core)
                 self.energy.reset()
                 self.profiler.begin("measure")
-                runtime = core.runtime
-                dram_refs = core.dram_refs
-            record = records[core.position]
-            if fast:
-                vaddr = record.vaddr
-                time = core.time + record.gap * nonmem_per_gap
-                hit = tlb_lookup(vaddr)
-                if hit is not None:
-                    frame, page_size, extra_latency = hit
-                    time += 1 + extra_latency
-                    paddr = frame | (vaddr & offset_masks[page_size])
-                    result = access(cpu, paddr, record.is_write)
-                    time += result.latency
-                    if result.needs_dram:
-                        request = MemoryRequest(
-                            paddr & LINE_MASK,
-                            KIND_DEMAND,
-                            cpu=cpu,
-                            is_write=record.is_write,
-                            enqueue_time=time,
-                        )
-                        finish = submit_and_wait(request, time)
-                        runtime.dram_other_cycles += finish - time
-                        dram_refs.other += 1
-                        fill_from_memory(cpu, paddr, record.is_write)
-                        record_llc_fill()
-                        time = finish
-                    for victim in drain_writebacks():
-                        submit_writeback(victim.paddr, cpu, time)
-                        dram_refs.writeback += 1
-                    core.time = time
-                    if recorder is not None:
-                        recorder.record(
-                            "ref",
-                            cpu=cpu,
-                            vaddr=vaddr,
-                            time=time,
-                            walked=False,
-                            write=record.is_write,
-                        )
-                else:
-                    self._drive_events(self._record_events(core, record, hit=None))
-            else:
-                self._process_record(core, record)
+            events = reference(core, records[core.position], submit)
+            if events is not None:
+                drive_events(events)
             core.position += 1
             if meter is not None:
                 meter.tick()
@@ -509,39 +395,7 @@ class SystemSimulator:
             if sampler is not None:
                 sampler.maybe_sample(core.time)
 
-    def _run_batch_single(self, core, limit, warmup, meter=None):
-        """Single-core driver for ``--kernel batch``.
-
-        A :class:`~repro.sim.kernel.BatchKernel` drives the core
-        between page walks: maximal runs of regular records (L1 TLB hit
-        + L1 cache hit) are consumed in bulk, irregular TLB-hit records
-        take the same inline fast path as :meth:`_run_single`, and only
-        full TLB misses return here to drain through the event engine
-        (with the probe already done).  The warmup boundary caps each
-        drive so measurement reset happens at exactly the same position
-        as the scalar drivers.
-        """
-        kernel = BatchKernel(self, core, self._batch_size)
-        records = core.trace.records
-
-        while core.position < limit:
-            if core.position == warmup:
-                self._reset_measurement(core)
-                self.energy.reset()
-                self.profiler.begin("measure")
-            bound = warmup if core.position < warmup else limit
-            consumed = kernel.drive(bound)
-            if consumed and meter is not None:
-                meter.tick(consumed)
-            if core.position >= bound:
-                continue
-            record = records[core.position]
-            self._drive_events(self._record_events(core, record, hit=None))
-            core.position += 1
-            if meter is not None:
-                meter.tick()
-
-    def _run_interleaved(self, limits, warmup, meter=None, batch=False):
+    def _run_interleaved(self, limits, warmup, meter=None):
         """Event-driven interleave of per-core streams.
 
         Cores advance until each blocks on a DRAM request (or runs out
@@ -555,51 +409,26 @@ class SystemSimulator:
         controller = self.controller
         warm_cores = 0
         sampler = self.timeline.sampler if self.timeline is not None else None
-        # Per-cpu state: ("run", generator, reply) | ("blocked",) | None.
+        # Per-cpu state: ("run", generator, reply) | ("blocked",) | None;
+        # a None generator means "start the core's next record".
         state = {}
         blocked = {}  # req_id -> (cpu, generator, request)
-        kernels = {}
-        if batch:
-            kernels = {
-                core.cpu: BatchKernel(self, core, self._batch_size)
-                for core in self.cores
-                if core.imp is None
-            }
 
-        def start_next(core):
-            """Begin the core's next record (handling warmup), or None.
-
-            With the batch kernel attached, bulk-consume regular records
-            first; only irregular records get an engine generator.  The
-            consume is safe inside Phase A because regular records never
-            touch shared state (the kernel refuses to run while
-            cross-core writebacks are pending).
-            """
+        def has_next(core):
+            """Whether the core has a record left (handling warmup)."""
             nonlocal warm_cores
-            cpu = core.cpu
-            kern = kernels.get(cpu)
-            while True:
-                if core.position >= limits[cpu]:
-                    return None
-                if core.position == warmup:
-                    self._reset_measurement(core)
-                    warm_cores += 1
-                    if warm_cores == len(self.cores):
-                        self.energy.reset()
-                if kern is None:
-                    return self._record_events(core, core.trace.records[core.position])
-                bound = warmup if core.position < warmup else limits[cpu]
-                consumed = kern.consume_regular(bound)
-                if consumed:
-                    if meter is not None:
-                        meter.tick(consumed)
-                    continue
-                return self._record_events(core, core.trace.records[core.position])
+            if core.position >= limits[core.cpu]:
+                return False
+            if core.position == warmup:
+                self._reset_measurement(core)
+                warm_cores += 1
+                if warm_cores == len(self.cores):
+                    self.energy.reset()
+            return True
 
         _START = object()
-        for core, limit in zip(self.cores, limits):
-            events = start_next(core) if limit > 0 else None
-            state[core.cpu] = ("run", events, _START) if events else None
+        for core in self.cores:
+            state[core.cpu] = ("run", None, _START) if has_next(core) else None
 
         while True:
             # Phase A: run every unblocked core until it blocks or ends.
@@ -610,9 +439,17 @@ class SystemSimulator:
                 _, events, reply = entry
                 core = self.cores[cpu]
                 while True:
-                    try:
-                        event = next(events) if reply is _START else events.send(reply)
-                    except StopIteration:
+                    if events is None:
+                        events = self._reference(core, core.trace.records[core.position])
+                        reply = _START
+                    event = None
+                    if events is not None:
+                        try:
+                            event = next(events) if reply is _START else events.send(reply)
+                        except StopIteration:
+                            events = None
+                    if event is None:
+                        # The record retired.
                         core.position += 1
                         if meter is not None:
                             meter.tick()
@@ -620,11 +457,9 @@ class SystemSimulator:
                             self.audit.tick(self)
                         if sampler is not None:
                             sampler.maybe_sample(core.time)
-                        events = start_next(core)
-                        if events is None:
+                        if not has_next(core):
                             state[cpu] = None
                             break
-                        reply = _START
                         continue
                     if event[0] == "advance":
                         controller.advance_to(event[1])
@@ -742,22 +577,22 @@ class SystemSimulator:
     # Per-reference engine
     # ------------------------------------------------------------------
 
-    # The engine is written as a *generator*: each memory-system
-    # interaction is yielded as an event, and the driver supplies the
-    # completion time.  The single-core driver answers events
-    # synchronously (identical timing to a direct implementation); the
-    # multicore driver interleaves events from all cores through the
-    # shared controller in causally-correct order.
+    # Every record starts synchronously in :meth:`_reference`, and a TLB
+    # hit -- nearly every record -- retires right there (under the
+    # multicore driver, only when the caches serve it).  Whatever else
+    # needs the memory controller continues as a *generator*: each
+    # memory-system interaction is yielded as an
+    # event, and the driver supplies the completion time.  The
+    # single-core driver answers events synchronously (identical timing
+    # to a direct implementation); the multicore driver interleaves
+    # events from all cores through the shared controller in
+    # causally-correct order.
     #
     # Event protocol:
     #   ("dram", request, submit_time) -> reply: finish time, or None
     #       when a prefetch-kind request was dropped at enqueue.
     #   ("advance", time)              -> reply: None (controller has
     #       serviced everything schedulable before `time`).
-
-    def _process_record(self, core, record):
-        """Single-core driver: answer each event immediately."""
-        self._drive_events(self._record_events(core, record))
 
     def _drive_events(self, events):
         """Run one record's event generator to completion, answering
@@ -774,82 +609,113 @@ class SystemSimulator:
         except StopIteration:
             pass
 
-    def _record_events(self, core, record, hit=_TLB_PROBE):
-        """One record's event stream.
+    def _reference(self, core, record, submit=None):
+        """Start one record; on a TLB hit, run the whole reference.
 
-        *hit* carries a TLB probe already performed by the fast path
-        (probing is stateful -- LRU refresh plus hit/miss counters -- so
-        it must happen exactly once per record); the default sentinel
-        means "probe here".
+        This is the one definition of what a TLB hit does.  *submit* is
+        the driver's synchronous DRAM service (the controller's
+        ``submit_and_wait``), or None when the driver interleaves cores.
+        When the access needs no controller, or *submit* serves it, the
+        record retires here and the result is None -- or, with an IMP
+        prefetcher, the IMP trigger's generator.  Otherwise the result
+        is the event generator that finishes the record: the walk and
+        replay after a TLB miss, or the DRAM access after a cache miss.
         """
-        tracer = self.tracer
-        timeline = self.timeline
-        time = core.time + record.gap * self._nonmem_per_gap
-        self._expire_pending_prefetches(core, time)
-        arrival = time
-        attribution = None
-        if timeline is not None:
-            attribution = timeline.attribution
-            attribution.begin(core.cpu, arrival)
-            core.attributing = True
-
         vaddr = record.vaddr
-        if hit is _TLB_PROBE:
-            hit = core.tlb.lookup(vaddr)
-        walked = False
-        leaf_pt_request = None
-        if hit is not None:
-            frame, page_size, extra_latency = hit
-            time += 1 + extra_latency
-            if timeline is not None:
-                core.tlb.report_lookup(arrival, hit)
-                attribution.add_translation(core.cpu, 1 + extra_latency)
-            if tracer is not None:
-                tracer.span(
-                    "tlb_lookup",
-                    core.cpu,
-                    arrival,
-                    time,
-                    {"outcome": "l1" if extra_latency == 0 else "l2"},
-                )
-        else:
-            walked = True
-            if timeline is not None:
-                core.tlb.report_lookup(arrival, None)
-            if tracer is not None:
-                tracer.span(
-                    "tlb_lookup", core.cpu, arrival, arrival + 1, {"outcome": "miss"}
-                )
-            time, frame, page_size, leaf_pt_request = yield from self._walk(
-                core, vaddr, time
+        time = core.time + record.gap * self._nonmem_per_gap
+        if core.pending_prefetch_lines:
+            self._expire_pending_prefetches(core, time)
+        timeline = self.timeline
+        if timeline is not None:
+            timeline.attribution.begin(core.cpu, time)
+            core.attributing = True
+        hit = core.tlb.lookup(vaddr)
+        if hit is None:
+            return self._walked_record(core, record, time)
+        frame, page_size, extra_latency = hit
+        arrival = time
+        time += 1 + extra_latency
+        if timeline is not None:
+            core.tlb.report_lookup(arrival, hit)
+            timeline.attribution.add_translation(core.cpu, 1 + extra_latency)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.span(
+                "tlb_lookup",
+                core.cpu,
+                arrival,
+                time,
+                {"outcome": "l1" if extra_latency == 0 else "l2"},
             )
+        paddr = frame | (vaddr & PAGE_OFFSET_MASKS[page_size])
+        begin = time
+        time, result = self._probe_caches(core, record, paddr, time)
+        if result.needs_dram:
+            request = MemoryRequest(
+                paddr & LINE_MASK,
+                KIND_DEMAND,
+                cpu=core.cpu,
+                is_write=record.is_write,
+                enqueue_time=time,
+            )
+            if submit is None:
+                return self._regular_dram(core, record, paddr, request, arrival, begin, time)
+            finish = submit(request, time)
+            self._demand_served(core, record, paddr, request, begin, time, finish, False)
+            time = finish
+        elif tracer is not None:
+            tracer.span("access", core.cpu, begin, time, {"service": result.hit_level})
+        return self._retire(core, record, arrival, time, False)
 
-        paddr = translate(vaddr, frame, page_size)
-        time = yield from self._post_translation(
-            core, record, paddr, time, walked, leaf_pt_request
+    def _walked_record(self, core, record, arrival):
+        """The rest of a record that missed the TLB (generator): the
+        page walk, the replay access, and retirement."""
+        if self.timeline is not None:
+            core.tlb.report_lookup(arrival, None)
+        if self.tracer is not None:
+            self.tracer.span(
+                "tlb_lookup", core.cpu, arrival, arrival + 1, {"outcome": "miss"}
+            )
+        time, frame, page_size, leaf_pt_request = yield from self._walk(
+            core, record.vaddr, arrival
         )
+        paddr = translate(record.vaddr, frame, page_size)
+        time = yield from self._replay(core, record, paddr, time, leaf_pt_request)
+        tail = self._retire(core, record, arrival, time, True)
+        if tail is not None:
+            yield from tail
 
+    def _regular_dram(self, core, record, paddr, request, arrival, begin, time):
+        """The rest of a TLB hit whose access missed the caches, for a
+        driver that interleaves cores (generator)."""
+        finish = yield ("dram", request, time)
+        self._demand_served(core, record, paddr, request, begin, time, finish, False)
+        tail = self._retire(core, record, arrival, finish, False)
+        if tail is not None:
+            yield from tail
+
+    def _retire(self, core, record, arrival, time, walked):
+        """Retire the record at *time*: hand the caches' dirty victims to
+        the controller, end its attribution, log it, and advance the
+        core's clock.  With an IMP prefetcher the result is the
+        generator of the IMP trigger the retirement fires; otherwise
+        None."""
         for victim in self.hierarchy.drain_writebacks():
             self.controller.submit_writeback(victim.paddr, core.cpu, time)
             core.dram_refs.writeback += 1
-
-        if attribution is not None:
-            # The reference retires here; the IMP trigger below runs
+        if self.timeline is not None:
+            # The reference retires here; the IMP trigger after it runs
             # outside it and stays out of the buckets.
-            attribution.end(core.cpu, time)
+            self.timeline.attribution.end(core.cpu, time)
             core.attributing = False
-
-        if core.imp is not None:
-            yield from self._imp_trigger(core, record, time)
-
-        if tracer is not None:
-            tracer.span(
+        if self.tracer is not None:
+            self.tracer.span(
                 "record",
                 core.cpu,
                 arrival,
                 time,
                 {
-                    "vaddr": "0x%x" % vaddr,
+                    "vaddr": "0x%x" % record.vaddr,
                     "walked": walked,
                     "write": record.is_write,
                 },
@@ -858,12 +724,15 @@ class SystemSimulator:
             self.recorder.record(
                 "ref",
                 cpu=core.cpu,
-                vaddr=vaddr,
+                vaddr=record.vaddr,
                 time=time,
                 walked=walked,
                 write=record.is_write,
             )
         core.time = time
+        if core.imp is not None:
+            return self._imp_trigger(core, record, time)
+        return None
 
     # -- translation ----------------------------------------------------
 
@@ -1023,12 +892,29 @@ class SystemSimulator:
 
     # -- post-translation access -----------------------------------------
 
-    def _post_translation(self, core, record, paddr, time, walked, leaf_pt_request):
-        """The replay (after a walk) or regular (after a TLB hit) access."""
+    def _probe_caches(self, core, record, paddr, time):
+        """Probe the caches for a post-translation access, after waiting
+        out an in-flight IMP prefetch of the same line (MSHR merge).
+        Returns ``(time, result)``."""
+        timeline = self.timeline
+        if core.pending_prefetch_lines:
+            pending_completion = core.pending_prefetch_lines.pop(paddr & LINE_MASK, None)
+            if pending_completion is not None and pending_completion > time:
+                if timeline is not None:
+                    timeline.attribution.add_dram(core.cpu, pending_completion - time)
+                time = pending_completion
+        result = self.hierarchy.access(core.cpu, paddr, record.is_write)
+        if timeline is not None:
+            self.hierarchy.report_probe(core.cpu, result, time)
+            timeline.attribution.add_cache(core.cpu, result.latency)
+        return time + result.latency, result
+
+    def _replay(self, core, record, paddr, time, leaf_pt_request):
+        """The replay access after a walk (generator); returns its
+        finish time."""
         tracer = self.tracer
         timeline = self.timeline
         begin = time
-        span_name = "replay" if walked else "access"
         tempo_active = self.engine is not None and leaf_pt_request is not None
         outcome = None
         if tempo_active:
@@ -1055,7 +941,7 @@ class SystemSimulator:
                     timeline.attribution.add_overlap(core.cpu, probe.latency)
                 if tracer is not None:
                     tracer.span(
-                        span_name,
+                        "replay",
                         core.cpu,
                         begin,
                         time + probe.latency,
@@ -1063,37 +949,49 @@ class SystemSimulator:
                     )
                 return time + probe.latency
 
-        # Wait out any in-flight IMP prefetch covering this line (MSHR merge).
-        line = cache_line_base(paddr)
-        pending_completion = core.pending_prefetch_lines.pop(line, None)
-        if pending_completion is not None and pending_completion > time:
-            if timeline is not None:
-                timeline.attribution.add_dram(core.cpu, pending_completion - time)
-            time = pending_completion
-
-        result = self.hierarchy.access(core.cpu, paddr, record.is_write)
-        if timeline is not None:
-            self.hierarchy.report_probe(core.cpu, result, time)
-            timeline.attribution.add_cache(core.cpu, result.latency)
-        time += result.latency
+        time, result = self._probe_caches(core, record, paddr, time)
         if not result.needs_dram:
             if tempo_active:
                 # Served on-chip anyway; count with the LLC bucket.
                 core.replay_service.llc += 1
             if tracer is not None:
-                tracer.span(
-                    span_name, core.cpu, begin, time, {"service": result.hit_level}
-                )
+                tracer.span("replay", core.cpu, begin, time, {"service": result.hit_level})
             return time
 
         if tempo_active and outcome is None:
             # The prefetch never got serviced in time; it is useless now.
             self.controller.cancel_prefetch(leaf_pt_request.req_id)
-
         request = MemoryRequest(
-            line, KIND_DEMAND, cpu=core.cpu, is_write=record.is_write, enqueue_time=time
+            paddr & LINE_MASK,
+            KIND_DEMAND,
+            cpu=core.cpu,
+            is_write=record.is_write,
+            enqueue_time=time,
         )
         finish = yield ("dram", request, time)
+        self._demand_served(
+            core, record, paddr, request, begin, time, finish, True, leaf_pt_request, outcome
+        )
+        return finish
+
+    def _demand_served(
+        self,
+        core,
+        record,
+        paddr,
+        request,
+        begin,
+        time,
+        finish,
+        walked,
+        leaf_pt_request=None,
+        outcome=None,
+    ):
+        """Account a post-translation access DRAM served between *time*
+        and *finish*: fill the caches, then charge a replay (*walked*)
+        or a regular access."""
+        tracer = self.tracer
+        timeline = self.timeline
         dram_cycles = finish - time
         if timeline is not None:
             timeline.attribution.add_dram(core.cpu, dram_cycles)
@@ -1106,18 +1004,18 @@ class SystemSimulator:
             core.dram_refs.replay += 1
             if leaf_pt_request is not None:
                 core.dram_refs.replay_also_dram += 1
-            if tempo_active:
-                row_prefetched = (
-                    outcome is not None
-                    and not outcome.dropped
-                    and outcome.row_ready_at is not None
-                )
-                if row_prefetched and request.outcome == "hit":
-                    core.replay_service.row_buffer += 1
-                    service = "row_buffer"
-                else:
-                    core.replay_service.unaided += 1
-                    service = "unaided"
+                if self.engine is not None:
+                    row_prefetched = (
+                        outcome is not None
+                        and not outcome.dropped
+                        and outcome.row_ready_at is not None
+                    )
+                    if row_prefetched and request.outcome == "hit":
+                        core.replay_service.row_buffer += 1
+                        service = "row_buffer"
+                    else:
+                        core.replay_service.unaided += 1
+                        service = "unaided"
         else:
             core.runtime.dram_other_cycles += dram_cycles
             core.dram_refs.other += 1
@@ -1135,12 +1033,17 @@ class SystemSimulator:
             tracer.span(
                 "dram",
                 core.cpu,
-                finish - dram_cycles,
+                time,
                 finish,
                 {"kind": "demand", "outcome": request.outcome},
             )
-            tracer.span(span_name, core.cpu, begin, finish, {"service": service})
-        return finish
+            tracer.span(
+                "replay" if walked else "access",
+                core.cpu,
+                begin,
+                finish,
+                {"service": service},
+            )
 
     # -- IMP prefetching ---------------------------------------------------
 
@@ -1176,7 +1079,7 @@ class SystemSimulator:
         miss, a full walk whose leaf-PT DRAM access triggers TEMPO --
         then fetches the data line.  The core does not stall; instead
         the completion time gates when the prefetched line becomes
-        usable (MSHR-style merge in :meth:`_post_translation`).
+        usable (MSHR-style merge in :meth:`_probe_caches`).
         """
         timeline = self.timeline
         path_time = time

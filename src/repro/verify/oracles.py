@@ -4,9 +4,6 @@ Where the online auditors check invariants *within* one run, the oracles
 check relations *between* runs -- properties that hold for any correct
 simulator regardless of parameter values:
 
-* **fast vs engine** -- the single-core TLB-hit fast path and the
-  generator-based event engine must produce bit-identical statistics on
-  the same input;
 * **determinism** -- same workload, config and seed twice yields the
   same config hash and the same statistics;
 * **TEMPO replay metamorphic** -- enabling TEMPO can only *reduce* the
@@ -15,11 +12,7 @@ simulator regardless of parameter values:
 * **length monotonicity** -- simulating a longer prefix of the same
   trace never decreases any absolute hit count;
 * **online audit** -- a short baseline + TEMPO run under
-  ``--check-invariants full`` completes with zero violations;
-* **batch vs engine** -- the struct-of-arrays batch kernel
-  (``--kernel batch``) must produce bit-identical statistics to the
-  scalar engine on several workloads, and must be deterministic with
-  itself.
+  ``--check-invariants full`` completes with zero violations.
 
 Simulation modules are imported lazily through :func:`_load` --
 ``repro.verify`` sits above the sim stack, and the indirection also
@@ -43,12 +36,11 @@ def _load(name: str) -> Any:
 
 
 def _comparable(stats: Dict[str, Any]) -> Dict[str, Any]:
-    """Strip wall-clock keys and the producing-kernel tag: everything
-    else must be bit-identical."""
+    """Strip wall-clock keys: everything else must be bit-identical."""
     return {
         key: value
         for key, value in stats.items()
-        if not key.startswith("manifest.timing") and key != "manifest.kernel"
+        if not key.startswith("manifest.timing")
     }
 
 
@@ -76,32 +68,6 @@ class OracleResult:
 
     def __repr__(self) -> str:
         return "OracleResult(%s: %s)" % (self.name, "PASS" if self.passed else "FAIL")
-
-
-def oracle_fast_engine_equivalence(length: int, seed: int) -> OracleResult:
-    """The inlined TLB-hit fast path is a pure optimisation: forcing
-    every record through the event engine must not change one bit."""
-    registry = _load("repro.workloads.registry")
-    system = _load("repro.sim.system")
-    config = _load("repro.common.config").default_system_config().with_tempo(True)
-    runs = []
-    for force_engine in (False, True):
-        trace = registry.make_trace(ORACLE_WORKLOAD, length=length, seed=seed)
-        result = system.SystemSimulator(
-            config, [trace], seed=seed, force_engine=force_engine
-        ).run()
-        runs.append(_comparable(result.stats))
-    if runs[0] == runs[1]:
-        return OracleResult(
-            "fast_engine_equivalence",
-            True,
-            "fast path and event engine agree on %d stats" % len(runs[0]),
-        )
-    return OracleResult(
-        "fast_engine_equivalence",
-        False,
-        "stats diverge: %s" % _diff_keys(runs[0], runs[1]),
-    )
 
 
 def oracle_determinism(length: int, seed: int) -> OracleResult:
@@ -228,65 +194,12 @@ def oracle_online_audit(length: int, seed: int) -> OracleResult:
     )
 
 
-#: Workloads the batch-kernel oracle cross-checks: pointer chasing
-#: (irregular, walk-heavy), table lookups (mixed), and a blocked small
-#: workload (regular-run heavy) -- together they cover every kernel
-#: path: bulk runs, inline TLB-hit heads, and event-engine fallback.
-_BATCH_ORACLE_WORKLOADS = ("btree", "xsbench", "bzip2_small")
-
-
-def oracle_batch_engine_equivalence(length: int, seed: int) -> OracleResult:
-    """The batch kernel is a pure optimisation: routing a run through
-    ``--kernel batch`` must not change one bit of the statistics, on
-    any workload, and two batch runs must agree with each other."""
-    registry = _load("repro.workloads.registry")
-    system = _load("repro.sim.system")
-    config = _load("repro.common.config").default_system_config().with_tempo(True)
-
-    def run(workload: str, kernel: str) -> Dict[str, Any]:
-        trace = registry.make_trace(workload, length=length, seed=seed)
-        result = system.SystemSimulator(
-            config, [trace], seed=seed, kernel=kernel
-        ).run()
-        return _comparable(result.stats)
-
-    checked = 0
-    for workload in _BATCH_ORACLE_WORKLOADS:
-        scalar = run(workload, "scalar")
-        batch = run(workload, "batch")
-        if scalar != batch:
-            return OracleResult(
-                "batch_engine_equivalence",
-                False,
-                "%s: batch kernel diverges from scalar engine: %s"
-                % (workload, _diff_keys(scalar, batch)),
-            )
-        checked += len(scalar)
-    again = run(_BATCH_ORACLE_WORKLOADS[0], "batch")
-    first = run(_BATCH_ORACLE_WORKLOADS[0], "batch")
-    if again != first:
-        return OracleResult(
-            "batch_engine_equivalence",
-            False,
-            "batch kernel is non-deterministic on %s: %s"
-            % (_BATCH_ORACLE_WORKLOADS[0], _diff_keys(again, first)),
-        )
-    return OracleResult(
-        "batch_engine_equivalence",
-        True,
-        "batch and scalar kernels agree on %d stats across %d workloads"
-        % (checked, len(_BATCH_ORACLE_WORKLOADS)),
-    )
-
-
 #: All oracles in execution order.
 ALL_ORACLES = (
-    oracle_fast_engine_equivalence,
     oracle_determinism,
     oracle_tempo_replay_reduction,
     oracle_length_monotonicity,
     oracle_online_audit,
-    oracle_batch_engine_equivalence,
 )
 
 

@@ -101,11 +101,10 @@ def test_committed_artifact_has_a_trajectory():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCH_perf.json")) as stream:
         committed = json.load(stream)
-    assert committed["schema"] == 4
+    assert committed["schema"] >= 4
     for row in committed["figures"].values():
         assert row["pool_speedup"] is not None
     assert isinstance(committed["trajectory"], list)
     assert committed["trajectory"], "committed BENCH_perf.json has an empty trajectory"
     for name, row in committed["workloads"].items():
-        assert set(row["kernels"]) == {"scalar", "batch"}, name
-        assert row["batch_speedup"] is not None, name
+        assert row["records_per_sec"], name

@@ -1,8 +1,8 @@
-"""Executor, cache, and fast-path regression tests.
+"""Executor, cache, and hot-loop regression tests.
 
 The contract under test: *how* a cell is executed -- serially, through a
-process pool, from the disk cache, or on the simulator's TLB-hit fast
-path -- must never change its result.  Every comparison here is exact
+process pool, from the disk cache, with or without an observer attached
+-- must never change its result.  Every comparison here is exact
 (``==`` on ints and floats), except that ``manifest.timing.*`` stats are
 excluded: those record host wall-clock, the one intentionally
 non-deterministic namespace.
@@ -78,7 +78,7 @@ def _driver_three_ways(driver, cache_dir):
     kwargs = dict(workloads=WORKLOADS, length=LENGTH, seed=0)
     serial = driver(executor=ExperimentExecutor(), **kwargs)
     cache = ResultCache(str(cache_dir))
-    parallel = driver(executor=ExperimentExecutor(jobs=2, cache=cache), **kwargs)
+    parallel = driver(executor=ExperimentExecutor(workers=2, cache=cache), **kwargs)
     warm_executor = ExperimentExecutor(cache=cache)
     warm = driver(executor=warm_executor, **kwargs)
     return serial, parallel, warm, warm_executor
@@ -108,7 +108,7 @@ def test_cell_results_bit_identical_across_paths(tmp_path):
     """Full stats comparison, not just the driver's row projection."""
     serial = ExperimentExecutor().run_cells(_pair_cells())
     cache = ResultCache(str(tmp_path))
-    pooled = ExperimentExecutor(jobs=2, cache=cache).run_cells(_pair_cells())
+    pooled = ExperimentExecutor(workers=2, cache=cache).run_cells(_pair_cells())
     warm = ExperimentExecutor(cache=cache).run_cells(_pair_cells())
     for expected, a, b in zip(serial, pooled, warm):
         _assert_identical(expected, a)
@@ -281,14 +281,14 @@ def test_payload_schema_mismatch_raises():
 
 
 # ----------------------------------------------------------------------
-# Hot-loop fast path
+# Hot loop
 # ----------------------------------------------------------------------
 
 
 def test_system_fast_path_matches_event_engine():
-    """A tracer forces every record through the generator-based event
-    engine; without one, TLB hits take the inlined fast path.  Both must
-    produce the same machine state."""
+    """A tracer hooks into every step of every record, TLB hits
+    included; the traced and untraced runs must produce the same
+    machine state."""
     config = default_system_config()
     for name in ("xsbench", "bzip2_small"):
         trace = make_trace(name, length=1200, seed=0)

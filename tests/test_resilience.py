@@ -97,7 +97,7 @@ def test_worker_crash_mid_batch_requeues_on_fresh_worker(tmp_path, clean_results
     cells = _cells()
     plan = FaultPlan(kill={cells[0].key(): (0,), cells[2].key(): (0,)})
     executor = ExperimentExecutor(
-        jobs=2, cache=ResultCache(str(tmp_path)), faults=plan
+        workers=2, cache=ResultCache(str(tmp_path)), faults=plan
     )
     results = executor.run_cells(cells)
     assert executor.counters["crashes"] == 2
@@ -112,7 +112,7 @@ def test_cell_timeout_kills_then_succeeds_on_retry(tmp_path, clean_results):
     cells = _cells(2)
     plan = FaultPlan(delay={cells[1].key(): ((0, 30.0),)})
     executor = ExperimentExecutor(
-        jobs=2,
+        workers=2,
         cache=ResultCache(str(tmp_path)),
         faults=plan,
         resilience=ResiliencePolicy(max_retries=2, cell_timeout=5.0),
@@ -264,7 +264,7 @@ def test_kill_at_checkpoint_then_resume_is_bit_identical(tmp_path, clean_results
     keys = [cell.key() for cell in cells]
 
     aborted = ExperimentExecutor(
-        jobs=2, cache=ResultCache(cache_root), faults=FaultPlan(abort_after=2)
+        workers=2, cache=ResultCache(cache_root), faults=FaultPlan(abort_after=2)
     )
     with pytest.raises(SweepAborted):
         aborted.run_cells(cells)
@@ -272,7 +272,7 @@ def test_kill_at_checkpoint_then_resume_is_bit_identical(tmp_path, clean_results
     journal = CheckpointStore.for_batch(cache_root, keys)
     assert len(journal.done_keys()) == 2
 
-    resumed = ExperimentExecutor(jobs=2, cache=ResultCache(cache_root), resume=True)
+    resumed = ExperimentExecutor(workers=2, cache=ResultCache(cache_root), resume=True)
     results = resumed.run_cells(cells)
     # Zero re-simulation of completed cells: 2 resumed from the journal,
     # only the 2 interrupted ones simulated.
@@ -348,3 +348,29 @@ def test_fault_plan_inject_raises_on_schedule():
     plan.inject("k", 0)  # nothing scheduled on attempt 0
     with pytest.raises(InjectedFault):
         plan.inject("k", 1)
+
+
+def test_needs_isolation_routing():
+    """The persistent pool amortizes spawn cost, so any multi-cell batch
+    with workers > 1 pools; single cells and workers=1 stay inline, and
+    kill/stall faults or a cell timeout always force the pool."""
+    from repro.exec.resilience import needs_isolation
+
+    config = default_system_config()
+    policy = ResiliencePolicy()
+    several = {
+        str(index): SimCell("btree", config, 800, seed=index)
+        for index in range(4)
+    }
+    one = {"0": SimCell("btree", config, 800, seed=0)}
+    assert needs_isolation(4, policy, None, pending=several)
+    assert not needs_isolation(4, policy, None, pending=one)
+    # workers=1 never pools on its own; a cell timeout always does.
+    assert not needs_isolation(1, policy, None, pending=several)
+    timeout_policy = ResiliencePolicy(cell_timeout=5.0)
+    assert needs_isolation(1, timeout_policy, None, pending=one)
+    # Kill and stall faults need a killable process regardless of size.
+    kills = FaultPlan(kill={"0": (0,)})
+    stalls = FaultPlan(stall={"0": (0,)})
+    assert needs_isolation(1, policy, kills, pending=one)
+    assert needs_isolation(1, policy, stalls, pending=one)

@@ -10,6 +10,7 @@ from repro.sim.system import SystemSimulator
 from repro.sim.trace import RegionSpec, Trace, TraceRecord
 from repro.vm.address_space import REGION_SPACE_BASE
 from repro.workloads.base import MB, TraceBuilder
+from repro.workloads.registry import make_trace
 
 
 def _sequential_trace(pages=100, line_stride=4096, name="seq"):
@@ -50,10 +51,40 @@ def test_time_advances_monotonically(config, small_trace):
     core = simulator.cores[0]
     previous = 0
     for position in range(0, 200):
-        simulator._process_record(core, core.trace.records[position])
+        events = simulator._reference(core, core.trace.records[position])
+        if events is not None:
+            simulator._drive_events(events)
         core.position += 1
         assert core.time >= previous
         previous = core.time
+
+
+@pytest.mark.parametrize("submit", [True, False])
+def test_tlb_hits_retire_inside_reference(config, submit):
+    """``_reference`` is the one definition of a TLB hit: with a
+    synchronous DRAM service every hit retires there, and only a walk
+    leaves an event generator.  Without one (the multicore driver), a
+    hit that misses the caches continues as a generator too."""
+    trace = make_trace("bzip2_small", length=800, seed=0)
+    simulator = SystemSimulator(config, [trace])
+    core = simulator.cores[0]
+    serve = simulator.controller.submit_and_wait if submit else None
+    walks = core.walker.stats.counter("walks")
+    inline = 0
+    for record in trace.records:
+        before = walks.value
+        events = simulator._reference(core, record, serve)
+        if events is None:
+            inline += 1
+        else:
+            simulator._drive_events(events)
+        walked = walks.value > before
+        if submit:
+            assert (events is None) == (not walked)
+        elif walked:
+            assert events is not None
+        core.position += 1
+    assert inline > 0
 
 
 def test_max_records_limits_run(config, small_trace):

@@ -70,7 +70,9 @@ def test_imp_pending_lines_gate_demand_hits(config):
     merged = 0
     for position in range(600):
         before = dict(core.pending_prefetch_lines)
-        simulator._process_record(core, records[position])
+        events = simulator._reference(core, records[position])
+        if events is not None:
+            simulator._drive_events(events)
         core.position += 1
         if before:
             merged += 1

@@ -266,9 +266,7 @@ def test_flight_recorder_rejects_bad_capacity():
 def test_invariant_violation_quarantines_cell_without_retry(tmp_path, monkeypatch):
     calls = []
 
-    def planted_violation(
-        cell, cache=None, trace_memo=None, check_invariants=None, kernel=None
-    ):
+    def planted_violation(cell, cache=None, trace_memo=None, check_invariants=None):
         calls.append(cell.key())
         raise InvariantViolation(
             "tempo_causality", "leaf_prefetch_bijection", "planted", {"built": 3}

@@ -3,12 +3,9 @@
 
 Two measurements, written to ``BENCH_perf.json`` at the repo root:
 
-* **records/sec per workload and kernel** -- one
-  ``SystemSimulator.run()`` per registered workload *per kernel*
-  (``scalar`` and ``batch``) under the default config, trace
-  generation excluded, so the numbers isolate the simulator hot loop
-  and the ``batch_speedup`` ratio isolates the batch kernel's effect
-  (:mod:`repro.sim.kernel`).
+* **records/sec per workload** -- one ``SystemSimulator.run()`` per
+  registered workload under the default config, trace generation
+  excluded, so the numbers isolate the simulator hot loop.
 * **wall-clock per figure** -- each benched figure driver run three
   ways: serial with no cache (the pre-executor behaviour), through the
   persistent worker pool (``--workers``) into a cold cache, and
@@ -49,38 +46,19 @@ BENCH_FIGURES = {
 }
 
 
-#: Kernels benched per workload (the default/reference kernel first --
-#: its rate doubles as the row's top-level schema-2 compatibility
-#: fields so old trajectories keep compacting).
-BENCH_KERNELS = ("scalar", "batch")
-
-
 def bench_workloads(names, length, seed=0):
-    """records/sec for each workload and kernel, trace generation
-    excluded.  ``batch_speedup`` is scalar seconds over batch seconds."""
+    """records/sec for each workload, trace generation excluded."""
     config = default_system_config()
     rows = {}
     for name in names:
-        records = None
-        kernels = {}
-        for kernel in BENCH_KERNELS:
-            trace = make_trace(name, length=length, seed=seed)
-            records = len(trace)
-            started = time.perf_counter()
-            SystemSimulator(config, [trace], seed=seed, kernel=kernel).run()
-            elapsed = time.perf_counter() - started
-            kernels[kernel] = {
-                "seconds": round(elapsed, 4),
-                "records_per_sec": round(records / elapsed) if elapsed else None,
-            }
-        scalar_s = kernels["scalar"]["seconds"]
-        batch_s = kernels["batch"]["seconds"]
+        trace = make_trace(name, length=length, seed=seed)
+        started = time.perf_counter()
+        SystemSimulator(config, [trace], seed=seed).run()
+        elapsed = time.perf_counter() - started
         rows[name] = {
-            "records": records,
-            "kernels": kernels,
-            "batch_speedup": round(scalar_s / batch_s, 2) if batch_s else None,
-            "seconds": kernels["scalar"]["seconds"],
-            "records_per_sec": kernels["scalar"]["records_per_sec"],
+            "records": len(trace),
+            "seconds": round(elapsed, 4),
+            "records_per_sec": round(len(trace) / elapsed) if elapsed else None,
         }
     return rows
 
@@ -134,6 +112,8 @@ def _trajectory_entry(payload):
         "min_records_per_sec": rates[0] if rates else None,
         "max_records_per_sec": rates[-1] if rates else None,
     }
+    # Schema 3-4 artifacts also timed the deleted batch kernel; their
+    # history rows keep its speedup range.
     speedups = sorted(
         row["batch_speedup"]
         for row in workloads.values()
@@ -187,11 +167,8 @@ def main(argv=None):
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="persistent pool size for the pooled runs (wins over --jobs)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=4, help="legacy alias for --workers"
+        default=4,
+        help="persistent pool size for the pooled runs (default 4)",
     )
     parser.add_argument(
         "--figures",
@@ -217,22 +194,13 @@ def main(argv=None):
                 )
             figures[name] = BENCH_FIGURES[name]
 
-    print("benching workloads (length=%d, kernels: %s) ..."
-          % (args.length, "/".join(BENCH_KERNELS)))
+    print("benching workloads (length=%d) ..." % args.length)
     workloads = bench_workloads(workload_names(), args.length)
     for name, row in workloads.items():
-        print(
-            "  %-20s %8s rec/s scalar, %8s rec/s batch (%.2fx)"
-            % (
-                name,
-                row["kernels"]["scalar"]["records_per_sec"],
-                row["kernels"]["batch"]["records_per_sec"],
-                row["batch_speedup"],
-            )
-        )
+        print("  %-20s %8s rec/s" % (name, row["records_per_sec"]))
 
     cpu_count = multiprocessing.cpu_count()
-    workers = args.workers if args.workers is not None else args.jobs
+    workers = args.workers
     figure_rows = {}
     if figures:
         if workers > cpu_count:
@@ -264,7 +232,7 @@ def main(argv=None):
 
     trajectory = load_trajectory(args.output)
     payload = {
-        "schema": 4,
+        "schema": 5,
         "trajectory": trajectory,
         "package_version": __version__,
         "python": platform.python_version(),
