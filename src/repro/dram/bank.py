@@ -213,23 +213,30 @@ class DramDevice:
         return self.banks[self.address_map.bank_index(paddr)]
 
     def access(
-        self, paddr, now, keep_open_extra=None, cpu=0, is_prefetch=False, latency_override=None
+        self,
+        bank_index,
+        row,
+        now,
+        keep_open_extra=None,
+        cpu=0,
+        is_prefetch=False,
+        row_offset=0,
+        latency_override=None,
     ):
-        """Decode + access; returns ``(start, end, outcome)``."""
-        index = self.address_map.bank_index(paddr)
-        bank = self.banks[index]
-        location = self.address_map.decode(paddr)
-        start, end, outcome = bank.access(
-            location.row,
+        """Access *row* of the bank at flat index *bank_index* (both from
+        :meth:`AddressMap.decode`, which the memory controller runs once
+        per request); returns ``(start, end, outcome)``."""
+        start, end, outcome = self.banks[bank_index].access(
+            row,
             now,
             keep_open_extra,
             cpu=cpu,
             is_prefetch=is_prefetch,
-            row_offset=location.row_offset,
+            row_offset=row_offset,
             latency_override=latency_override,
         )
         if self._util_banks is not None:
-            self._util_banks[index].busy(start, end)
+            self._util_banks[bank_index].busy(start, end)
         return start, end, outcome
 
     def classify(self, paddr, now):

@@ -13,6 +13,14 @@ of bank-level parallelism.  Completion as seen by the core adds the
 fixed ``controller_overhead_cycles`` (queue entry/exit + on-chip
 network).
 
+Each channel's transaction queue is two lists: demands, page-table
+requests and prefetches in one, writebacks in the other.  The scheduler
+is offered the writebacks only when nothing in the first list is
+eligible, so writebacks go last and a pick costs time in proportion to
+the requests it may choose from.  ``enqueue`` decodes each request's
+DRAM coordinates once and stores them on it; picks, reservations and
+the access itself read them from there.
+
 TEMPO hooks, all active only when a :class:`~repro.core.prefetch_engine.
 PrefetchEngine` is installed:
 
@@ -27,6 +35,8 @@ PrefetchEngine` is installed:
 * when the transaction queue is full, incoming prefetches are dropped
   (the paper's "pathological cases" in Figure 11 left).
 """
+
+import itertools
 
 from repro.common.stats import StatGroup
 from repro.dram.bank import OUTCOME_HIT, DramDevice
@@ -62,20 +72,21 @@ class PrefetchOutcome:
 
 
 class _SchedulerContext:
-    """Predicates the scheduler evaluates against live bank state."""
+    """Predicates the scheduler evaluates against live bank state, keyed
+    by the coordinates ``enqueue`` decoded onto each request."""
 
-    __slots__ = ("_controller", "now")
+    __slots__ = ("_banks", "now")
 
-    def __init__(self, controller, now):
-        self._controller = controller
+    def __init__(self, banks, now):
+        self._banks = banks
         self.now = now
 
     def row_hit(self, request):
-        return self._controller.device.classify(request.paddr, self.now) == OUTCOME_HIT
+        bank = self._banks[request.bank_index]
+        return bank.classify(request.row, self.now, request.row_offset) == OUTCOME_HIT
 
     def reserved_against(self, request):
-        bank = self._controller.device.bank_for(request.paddr)
-        return bank.reserved_against(request.cpu, self.now)
+        return self._banks[request.bank_index].reserved_against(request.cpu, self.now)
 
 
 class MemoryController:
@@ -98,8 +109,14 @@ class MemoryController:
         self._bus_cycles = config.dram.bus_cycles
         self._overhead = config.dram.controller_overhead_cycles
         self._capacity = config.dram.txq_capacity
-        self._queues = [[] for _ in range(config.dram.channels)]
-        self._clock = [0] * config.dram.channels
+        self._banks = self.device.banks
+        channels = config.dram.channels
+        #: Per channel, the two lists of the module docstring.
+        self._queues = [[] for _ in range(channels)]
+        self._writebacks = [[] for _ in range(channels)]
+        #: TxQ slots held by each channel's queued requests (both lists).
+        self._slots_used = [0] * channels
+        self._clock = [0] * channels
         self._outcomes = {}
         self.stats = StatGroup("controller")
         # Hot-path counter memos (avoid per-request string formatting).
@@ -122,30 +139,33 @@ class MemoryController:
     # Submission API (used by the system simulator)
     # ------------------------------------------------------------------
 
-    def channel_of(self, paddr):
-        return self.device.address_map.bank_index(paddr) // self._banks_per_channel
-
-    def _queue_slots_used(self, channel):
-        return sum(request.slots() for request in self._queues[channel])
-
     def enqueue(self, request):
-        """Place *request* in its channel's transaction queue.
+        """Decode *request*'s DRAM coordinates onto it and place it in its
+        channel's transaction queue.
 
         Returns False when a prefetch was dropped for lack of TxQ space
         (demand/PT/writeback requests are always accepted -- the sources
         throttle themselves by blocking).
         """
-        channel = self.channel_of(request.paddr)
-        if request.is_prefetch:
-            used = self._queue_slots_used(channel)
-            if used + request.slots() > self._capacity:
-                self.stats.counter("prefetch_dropped_txq_full").add()
-                if request.kind == KIND_TEMPO_PREFETCH:
-                    self._outcomes[request.origin_pt_id] = PrefetchOutcome(
-                        request.paddr, dropped=True
-                    )
-                return False
-        self._queues[channel].append(request)
+        location = self.device.address_map.decode(request.paddr)
+        channel = location.channel
+        request.channel = channel
+        request.bank_index = channel * self._banks_per_channel + location.bank
+        request.row = location.row
+        request.row_offset = location.row_offset
+        slots = request.slots()
+        if request.is_prefetch and self._slots_used[channel] + slots > self._capacity:
+            self.stats.counter("prefetch_dropped_txq_full").add()
+            if request.kind == KIND_TEMPO_PREFETCH:
+                self._outcomes[request.origin_pt_id] = PrefetchOutcome(
+                    request.paddr, dropped=True
+                )
+            return False
+        if request.kind == KIND_WRITEBACK:
+            self._writebacks[channel].append(request)
+        else:
+            self._queues[channel].append(request)
+        self._slots_used[channel] += slots
         counter = self._enqueued_counters.get(request.kind)
         if counter is None:
             counter = self.stats.counter("enqueued_%s" % request.kind)
@@ -162,7 +182,7 @@ class MemoryController:
         """
         if not self.enqueue(request):
             return None
-        channel = self.channel_of(request.paddr)
+        channel = request.channel
         if self._clock[channel] < now:
             self._clock[channel] = now
         while request.finish_time is None:
@@ -170,11 +190,13 @@ class MemoryController:
         return request.finish_time
 
     def submit_async(self, request, now):
-        """Fire-and-forget path (prefetches, writebacks)."""
-        channel = self.channel_of(request.paddr)
+        """Fire-and-forget path (prefetches, writebacks).  The channel
+        clock advances to *now* even when a prefetch is dropped."""
+        accepted = self.enqueue(request)
+        channel = request.channel
         if self._clock[channel] < now:
             self._clock[channel] = now
-        return self.enqueue(request)
+        return accepted
 
     def submit_writeback(self, paddr, cpu, now):
         request = MemoryRequest(
@@ -194,8 +216,8 @@ class MemoryController:
 
         Returns the latest channel clock afterwards.
         """
-        for channel, queue in enumerate(self._queues):
-            while queue:
+        for channel in range(len(self._queues)):
+            while self.has_pending(channel):
                 self._service_next(channel)
         return max(self._clock)
 
@@ -208,18 +230,23 @@ class MemoryController:
         return len(self._queues)
 
     def has_pending(self, channel):
-        return bool(self._queues[channel])
+        return bool(self._queues[channel] or self._writebacks[channel])
+
+    def _channel_requests(self, channel):
+        return itertools.chain(self._queues[channel], self._writebacks[channel])
 
     def next_decision_time(self, channel):
         """Earliest time *channel* could service its next request, or
         ``None`` when its queue is empty.  The event-driven multicore
         driver services channels in decision-time order so cross-core
         causality holds."""
-        queue = self._queues[channel]
-        if not queue:
+        if not self.has_pending(channel):
             return None
         now = self._clock[channel]
-        earliest = min(self._available_at(request, now) for request in queue)
+        earliest = min(
+            self._available_at(request, now)
+            for request in self._channel_requests(channel)
+        )
         return max(now, earliest)
 
     def service_one(self, channel):
@@ -237,13 +264,14 @@ class MemoryController:
     def cancel_prefetch(self, pt_req_id):
         """Remove a still-queued prefetch whose replay already went to
         DRAM on its own (late prefetch, now useless)."""
-        for queue in self._queues:
+        for channel, queue in enumerate(self._queues):
             for position, request in enumerate(queue):
                 if (
                     request.kind == KIND_TEMPO_PREFETCH
                     and request.origin_pt_id == pt_req_id
                 ):
                     del queue[position]
+                    self._slots_used[channel] -= request.slots()
                     self.stats.counter("prefetch_cancelled_late").add()
                     return True
         return False
@@ -253,41 +281,55 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def _drain_channel_until(self, channel, time):
-        queue = self._queues[channel]
-        while queue:
-            earliest = min(
-                max(self._clock[channel], request.not_before) for request in queue
+        while self.has_pending(channel):
+            earliest = max(
+                self._clock[channel],
+                min(request.not_before for request in self._channel_requests(channel)),
             )
             if earliest >= time:
                 return
             self._service_next(channel)
 
+    def _pick(self, channel, now):
+        """The scheduler's choice at *now*, or None when nothing is
+        eligible.  Writebacks are offered only when no other request is,
+        so each ``pick`` sees one of the two lists."""
+        context = _SchedulerContext(self._banks, now)
+        queue = self._queues[channel]
+        request = self.scheduler.pick(queue, now, context) if queue else None
+        writebacks = self._writebacks[channel]
+        if request is None and writebacks:
+            request = self.scheduler.pick(writebacks, now, context)
+        return request
+
     def _service_next(self, channel):
         """Schedule and service exactly one request on *channel*."""
-        queue = self._queues[channel]
-        if not queue:
+        if not self.has_pending(channel):
             return None
         now = self._clock[channel]
-        context = _SchedulerContext(self, now)
-        request = self.scheduler.pick(queue, now, context)
+        request = self._pick(channel, now)
         if request is None:
             # Nothing eligible yet: jump to the earliest availability,
             # accounting for grace-period reservations (which always
             # expire, so this cannot deadlock).
-            self._clock[channel] = min(
-                self._available_at(req, now) for req in queue
+            now = min(
+                self._available_at(req, now) for req in self._channel_requests(channel)
             )
-            context = _SchedulerContext(self, self._clock[channel])
-            request = self.scheduler.pick(queue, self._clock[channel], context)
+            self._clock[channel] = now
+            request = self._pick(channel, now)
             if request is None:
                 return None
-        queue.remove(request)
+        if request.kind == KIND_WRITEBACK:
+            self._writebacks[channel].remove(request)
+        else:
+            self._queues[channel].remove(request)
+        self._slots_used[channel] -= request.slots()
         return self._service(channel, request)
 
     def _available_at(self, request, now):
         """Earliest time *request* becomes schedulable."""
         available = request.not_before
-        bank = self.device.bank_for(request.paddr)
+        bank = self._banks[request.bank_index]
         if bank.reserved_against(request.cpu, max(now, available)):
             available = max(available, bank.reserved_until)
         return available
@@ -303,11 +345,13 @@ class MemoryController:
                 # buffer (paper: 60-100 cycles), not a full column access.
                 latency_override = self.engine.config.prefetch_row_cycles
         start, end, outcome = self.device.access(
-            request.paddr,
+            request.bank_index,
+            request.row,
             self._clock[channel],
             keep_open_extra,
             cpu=request.cpu,
             is_prefetch=request.is_prefetch,
+            row_offset=request.row_offset,
             latency_override=latency_override,
         )
         request.start_time = start
@@ -368,7 +412,7 @@ class MemoryController:
             )
             grace = self.engine.config.grace_period_cycles
             if grace > 0:
-                self.device.bank_for(request.paddr).reserve(request.cpu, end + grace)
+                self._banks[request.bank_index].reserve(request.cpu, end + grace)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -378,8 +422,13 @@ class MemoryController:
     def now(self):
         return max(self._clock)
 
+    def queued_requests(self):
+        """Yield every request still waiting in any channel's queue."""
+        for channel in range(len(self._queues)):
+            yield from self._channel_requests(channel)
+
     def pending_requests(self):
-        return sum(len(queue) for queue in self._queues)
+        return sum(len(queue) for queue in self._queues + self._writebacks)
 
     def __repr__(self):
         return "MemoryController(%s, %d pending)" % (

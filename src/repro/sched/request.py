@@ -47,6 +47,11 @@ class MemoryRequest:
         "replay_line_index",
         # --- set when a TEMPO prefetch is created ---
         "origin_pt_id",
+        # --- DRAM coordinates, decoded once by the controller's enqueue ---
+        "channel",
+        "bank_index",
+        "row",
+        "row_offset",
         # --- filled in at service time ---
         "start_time",
         "finish_time",
@@ -84,6 +89,10 @@ class MemoryRequest:
         self.pte = pte
         self.replay_line_index = replay_line_index
         self.origin_pt_id = origin_pt_id
+        self.channel = None
+        self.bank_index = None
+        self.row = None
+        self.row_offset = None
         self.start_time = None
         self.finish_time = None
         self.outcome = None

@@ -15,8 +15,13 @@ Conventions shared by every policy:
 
 * only requests with ``not_before <= now`` are eligible (``None`` is
   returned when nothing is; the controller then advances its clock);
-* writebacks are deprioritized -- they are scheduled only when nothing
-  else is eligible;
+* ``pending`` holds one class of request: the controller keeps
+  writebacks in a list of their own and offers it only when nothing in
+  the other list (demands, page-table requests, prefetches) is
+  eligible, so writebacks go last without any policy testing for them;
+* the choice depends on which requests are eligible, not on their order
+  in ``pending``: every policy ends with the oldest by
+  ``(enqueue_time, req_id)``;
 * reservations are *delays*: a bank inside another CPU's grace period is
   off-limits until the reservation expires (the paper keeps the
   prefetched row open before switching to a competing application's
@@ -35,11 +40,6 @@ def _eligible(pending, now, context):
         for request in pending
         if request.not_before <= now and not context.reserved_against(request)
     ]
-
-
-def _split_writebacks(candidates):
-    normal = [request for request in candidates if request.kind != KIND_WRITEBACK]
-    return (normal, False) if normal else (candidates, True)
 
 
 def _oldest(candidates):
@@ -64,7 +64,6 @@ class FcfsScheduler:
         candidates = _eligible(pending, now, context)
         if not candidates:
             return None
-        candidates, _ = _split_writebacks(candidates)
         return _oldest(candidates)
 
     def on_scheduled(self, request, now):
@@ -83,7 +82,6 @@ class FrFcfsScheduler:
         candidates = _eligible(pending, now, context)
         if not candidates:
             return None
-        candidates, _ = _split_writebacks(candidates)
         return _row_hit_oldest(candidates, context)
 
     def on_scheduled(self, request, now):
@@ -131,7 +129,6 @@ class BlissScheduler:
         candidates = _eligible(pending, now, context)
         if not candidates:
             return None
-        candidates, _ = _split_writebacks(candidates)
         favoured = [
             request for request in candidates if request.cpu not in self._blacklist
         ]
@@ -199,7 +196,6 @@ class AtlasScheduler:
         candidates = _eligible(pending, now, context)
         if not candidates:
             return None
-        candidates, _ = _split_writebacks(candidates)
         least = min(self._attained.get(request.cpu, 0) for request in candidates)
         ranked = [
             request

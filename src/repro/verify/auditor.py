@@ -156,9 +156,8 @@ class StatConservationAuditor(InvariantAuditor):
         controller = machine.controller
         stats = controller.stats
         queued: Dict[str, int] = {}
-        for queue in controller._queues:
-            for request in queue:
-                queued[request.kind] = queued.get(request.kind, 0) + 1
+        for request in controller.queued_requests():
+            queued[request.kind] = queued.get(request.kind, 0) + 1
         total_served = 0
         for kind in _REQUEST_KINDS:
             served = stats.peek("served_%s" % kind)
@@ -470,25 +469,24 @@ class TempoCausalityAuditor(InvariantAuditor):
         queued = 0
         line_bytes = machine.config.llc.line_bytes
         phys_bytes = machine.allocator.phys_mem_bytes
-        for queue in controller._queues:
-            for request in queue:
-                if request.kind != "tempo_prefetch":
-                    continue
-                queued += 1
-                if request.paddr % line_bytes:
-                    yield self._violation(
-                        "prefetch_alignment",
-                        "queued tempo prefetch 0x%x is not line-aligned"
-                        % request.paddr,
-                        {"paddr": request.paddr},
-                    )
-                if not 0 <= request.paddr < phys_bytes:
-                    yield self._violation(
-                        "prefetch_target_bounds",
-                        "queued tempo prefetch 0x%x is outside physical "
-                        "memory (%d bytes)" % (request.paddr, phys_bytes),
-                        {"paddr": request.paddr},
-                    )
+        for request in controller.queued_requests():
+            if request.kind != "tempo_prefetch":
+                continue
+            queued += 1
+            if request.paddr % line_bytes:
+                yield self._violation(
+                    "prefetch_alignment",
+                    "queued tempo prefetch 0x%x is not line-aligned"
+                    % request.paddr,
+                    {"paddr": request.paddr},
+                )
+            if not 0 <= request.paddr < phys_bytes:
+                yield self._violation(
+                    "prefetch_target_bounds",
+                    "queued tempo prefetch 0x%x is outside physical "
+                    "memory (%d bytes)" % (request.paddr, phys_bytes),
+                    {"paddr": request.paddr},
+                )
         cancelled = stats.peek("prefetch_cancelled_late")
         if enqueued != served + cancelled + queued:
             yield self._violation(

@@ -127,19 +127,29 @@ def test_device_routes_by_address():
     assert device.bank_for(a) is not device.bank_for(b)
 
 
+def _access(device, paddr, now):
+    location = device.address_map.decode(paddr)
+    return device.access(
+        device.address_map.bank_index(paddr),
+        location.row,
+        now,
+        row_offset=location.row_offset,
+    )
+
+
 def test_device_row_open_tracks_access():
     device = DramDevice(DramConfig(), RowPolicyConfig(policy="open"))
     paddr = 0x123456
     assert not device.row_open(paddr, 0)
-    _, end, _ = device.access(paddr, 0)
+    _, end, _ = _access(device, paddr, 0)
     assert device.row_open(paddr, end)
     assert device.row_open(paddr + 100, end)  # same row
 
 
 def test_device_stats_aggregate_outcomes():
     device = DramDevice(DramConfig(), RowPolicyConfig(policy="open"))
-    _, end, _ = device.access(0x1000, 0)
-    device.access(0x1040, end)
+    _, end, _ = _access(device, 0x1000, 0)
+    _access(device, 0x1040, end)
     counters = device.stats.as_dict()
     assert counters["dram.bank.miss"] == 1
     assert counters["dram.bank.hit"] == 1

@@ -124,6 +124,17 @@ def test_advance_to_services_due_prefetch():
     assert outcome is not None
 
 
+def test_advance_to_serves_writebacks_behind_future_requests():
+    controller, _ = _controller(tempo=False)
+    later = MemoryRequest(0x0, KIND_DEMAND, not_before=1000)
+    controller.submit_async(later, 0)
+    writeback = controller.submit_writeback(0x40, cpu=0, now=0)
+    controller.advance_to(500)
+    assert writeback.finish_time is not None
+    assert later.finish_time is None
+    assert controller.next_decision_time(later.channel) == 1000
+
+
 def test_txq_overflow_drops_prefetches():
     controller, config = _controller(
         tempo=True, dram=replace(default_system_config().dram, txq_capacity=4)
@@ -143,15 +154,65 @@ def test_txq_overflow_drops_prefetches():
     assert any(outcome is not None and outcome.dropped for outcome in dropped)
 
 
-def test_writebacks_yield_to_demands():
-    controller, _ = _controller(tempo=False)
-    controller.submit_writeback(0x9000, cpu=0, now=0)
-    demand = MemoryRequest(0x0, KIND_DEMAND, enqueue_time=5)
-    controller.submit_and_wait(demand, 5)
-    # The writeback is still pending; the demand went first.
-    assert controller.pending_requests() == 1
+def _slots_by_channel(controller):
+    used = [0] * controller.num_channels
+    for request in controller.queued_requests():
+        used[request.channel] += request.slots()
+    return used
+
+
+def test_txq_capacity_counts_writebacks_and_tagged_pts():
+    """Queued writebacks hold TxQ slots like any request: two of them
+    plus a two-slot tagged PT fill a four-slot queue, so the next
+    prefetch is dropped.  The per-channel slot counter follows the queue
+    through service and cancellation."""
+    controller, _ = _controller(
+        tempo=True, dram=replace(default_system_config().dram, txq_capacity=4)
+    )
+    controller.submit_writeback(0x0, cpu=0, now=0)
+    controller.submit_writeback(0x40, cpu=0, now=0)
+    pt = _tagged_pt(paddr=0x80)
+    assert controller.submit_async(pt, 0)
+    assert _slots_by_channel(controller)[pt.channel] == 4
+    prefetch = MemoryRequest(
+        0xC0, KIND_TEMPO_PREFETCH, not_before=10**9, origin_pt_id=999
+    )
+    assert not controller.submit_async(prefetch, 0)
+    assert controller.stats.counter("prefetch_dropped_txq_full").value == 1
+    assert controller.take_prefetch_outcome(999).dropped
+    assert controller._slots_used == _slots_by_channel(controller)
+
+    # Serving the tagged PT frees its two slots and queues its prefetch.
+    assert controller.service_one(pt.channel) is pt
+    assert controller.stats.counter("tempo_prefetches_enqueued").value == 1
+    assert controller._slots_used == _slots_by_channel(controller)
+    assert controller.cancel_prefetch(pt.req_id)
+    assert controller._slots_used == _slots_by_channel(controller)
     controller.drain_all()
-    assert controller.pending_requests() == 0
+    assert controller._slots_used == [0] * controller.num_channels
+
+
+def test_writebacks_yield_to_demands():
+    """The controller offers writebacks to the scheduler only when no
+    other request is eligible, under every policy: an older writeback
+    waits for a younger demand, and goes ahead of a demand that is not
+    yet schedulable."""
+    for policy in ("fcfs", "frfcfs", "bliss", "atlas"):
+        scheduler = replace(default_system_config().scheduler, policy=policy)
+        controller, _ = _controller(tempo=False, scheduler=scheduler)
+        writeback = controller.submit_writeback(0x9000, cpu=0, now=0)
+        demand = MemoryRequest(0x0, KIND_DEMAND, enqueue_time=5)
+        controller.submit_and_wait(demand, 5)
+        # The writeback is still pending; the demand went first.
+        assert controller.pending_requests() == 1
+        assert writeback.finish_time is None
+
+        later = MemoryRequest(0x40, KIND_DEMAND, enqueue_time=10, not_before=10**6)
+        controller.submit_async(later, 10)
+        assert controller.service_one(later.channel) is writeback
+        assert controller.service_one(later.channel) is later
+        assert later.start_time >= 10**6
+        assert controller.pending_requests() == 0
 
 
 def test_grace_period_reserves_bank():

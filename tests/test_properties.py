@@ -198,6 +198,172 @@ def test_controller_serves_everything_exactly_once(requests_spec):
         assert request.start_time >= request.enqueue_time
 
 
+_REQUEST_KINDS = ("demand", "pt", "tempo_prefetch", "imp_prefetch", "writeback")
+
+_controller_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("async", "async", "async", "async", "wait", "wait", "service", "advance", "cancel")
+        ),
+        st.integers(min_value=0, max_value=(1 << 19) - 1),  # paddr
+        st.sampled_from(_REQUEST_KINDS),
+        st.integers(min_value=0, max_value=3),  # cpu, modulo the CPU count
+        st.integers(min_value=0, max_value=300),  # time step / not_before lead
+        st.booleans(),  # schedulable only in the future
+        st.booleans(),  # TEMPO-tagged (page-table requests)
+    ),
+    min_size=5,
+    max_size=60,
+)
+
+
+def _drive_controller(controller_class, config, num_cpus, ops):
+    """Run *ops* against a fresh controller; return everything the
+    caller can observe, with requests named by their position in *ops*
+    (engine-built prefetches by their page-table request's)."""
+    from repro.core.prefetch_engine import PrefetchEngine
+    from repro.sched.controller import MemoryController
+    from repro.sched.request import MemoryRequest
+    from repro.vm.page_table import PageTableEntry
+
+    engine = PrefetchEngine(config.tempo) if config.tempo.enabled else None
+    controller = controller_class(config, None, engine)
+    names = {}
+    served = []
+    on_scheduled = controller.scheduler.on_scheduled
+
+    def record(request, start):
+        served.append(request)
+        on_scheduled(request, start)
+
+    controller.scheduler.on_scheduled = record
+    replies = []
+    origins = []  # keys of the prefetch outcomes to compare
+    now = 0
+    for index, (action, paddr, kind, cpu, step, future, tag) in enumerate(ops):
+        now += step
+        if action == "service":
+            pending = [
+                channel
+                for channel in range(controller.num_channels)
+                if controller.has_pending(channel)
+            ]
+            if pending:
+                channel = min(pending, key=controller.next_decision_time)
+                replies.append(("decide", channel, controller.next_decision_time(channel)))
+                controller.service_one(channel)
+        elif action == "advance":
+            controller.advance_to(now + step)
+        elif action == "cancel":
+            if origins:
+                origin = origins[paddr % len(origins)]
+                replies.append(("cancel", controller.cancel_prefetch(origin)))
+        else:
+            pte = None
+            if kind == "pt" and tag:
+                frame = ((paddr * 7919) & ((1 << 22) - 1)) << 12
+                pte = PageTableEntry(
+                    present=paddr % 4 != 0, is_leaf=True, frame_paddr=frame, page_size=4096
+                )
+            request = MemoryRequest(
+                paddr & ~63,
+                kind,
+                cpu=cpu % num_cpus,
+                is_write=kind == "writeback",
+                enqueue_time=now,
+                not_before=now + step if future else 0,
+                pt_leaf=kind == "pt",
+                tempo_tagged=pte is not None,
+                pte=pte,
+                replay_line_index=paddr % 64,
+                origin_pt_id=-1 - index if kind == "tempo_prefetch" else None,
+            )
+            names[request.req_id] = index
+            if pte is not None or kind == "tempo_prefetch":
+                origins.append(request.req_id if pte is not None else -1 - index)
+            if action == "wait":
+                finish = controller.submit_and_wait(request, now)
+                replies.append(("wait", finish))
+                if finish is not None:
+                    now = max(now, finish)
+            else:
+                replies.append(("async", controller.submit_async(request, now)))
+        replies.append(("pending", controller.pending_requests()))
+        if controller_class is MemoryController:
+            used = [0] * controller.num_channels
+            for request in controller.queued_requests():
+                used[request.channel] += request.slots()
+            assert controller._slots_used == used
+    # drain_all walks the channels once, so a prefetch that a late
+    # page-table request queues on an already drained channel stays.
+    replies.append(("drain", controller.drain_all(), controller.pending_requests()))
+
+    def name(request):
+        if request.req_id in names:
+            return names[request.req_id]
+        return ("prefetch", names[request.origin_pt_id])
+
+    outcomes = []
+    for origin in origins:
+        outcome = controller.take_prefetch_outcome(origin)
+        outcomes.append(
+            None
+            if outcome is None
+            else (outcome.paddr, outcome.row_ready_at, outcome.llc_ready_at, outcome.dropped)
+        )
+    return {
+        "served": [
+            (name(request), request.kind, request.start_time, request.finish_time, request.outcome)
+            for request in served
+        ],
+        "replies": replies,
+        "outcomes": outcomes,
+        "controller": controller.stats.as_dict(),
+        "sched": controller.scheduler.stats.as_dict(),
+        "dram": controller.device.stats.as_dict(),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _controller_ops,
+    st.sampled_from(("fcfs", "frfcfs", "bliss", "atlas")),
+    st.sampled_from(("off", "on", "on+grouping")),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+)
+def test_controller_matches_whole_queue_reference(ops, policy, tempo, num_cpus, subrows):
+    """Split queues and decode-once coordinates change nothing anyone
+    can observe: service order, per-request timing and outcome, API
+    replies, dropped prefetches and every controller, scheduler and DRAM
+    counter equal the whole-queue reference's, with whole-row or
+    sub-row banks."""
+    from dataclasses import replace
+
+    from repro.common.config import default_system_config
+    from repro.sched.controller import MemoryController
+
+    from tests.reference_controller import SingleListController
+
+    config = default_system_config()
+    config = config.copy_with(
+        num_cores=num_cpus,
+        dram=replace(
+            config.dram,
+            txq_capacity=3,
+            subrows=replace(config.dram.subrows, enabled=subrows),
+        ),
+        scheduler=replace(
+            config.scheduler,
+            policy=policy,
+            bliss_clearing_interval=500,
+            atlas_quantum_cycles=700,
+        ),
+    ).with_tempo(tempo != "off", txq_grouping=tempo == "on+grouping")
+    reference = _drive_controller(SingleListController, config, num_cpus, ops)
+    assert _drive_controller(MemoryController, config, num_cpus, ops) == reference
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=2**20))
 def test_system_simulator_deterministic_under_seeds(seed):

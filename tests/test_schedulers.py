@@ -1,9 +1,13 @@
 """Tests for FCFS / FR-FCFS / BLISS / TEMPO-grouping schedulers."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.common.config import SchedulerConfig
+from repro.common.config import SchedulerConfig, default_system_config
 from repro.common.errors import ConfigError
+from repro.dram.energy import EnergyModel
+from repro.sched.controller import MemoryController
 from repro.sched.request import (
     KIND_DEMAND,
     KIND_PT,
@@ -52,11 +56,19 @@ def test_fcfs_skips_future_not_before():
 
 
 def test_writebacks_only_when_alone():
-    scheduler = FcfsScheduler()
+    """Writebacks go last: the controller offers them to the policy only
+    when no other request is eligible, so an older writeback waits for a
+    younger demand under FCFS; offered alone, the policy takes it."""
+    config = default_system_config().with_tempo(False)
+    config = config.copy_with(scheduler=replace(config.scheduler, policy="fcfs"))
+    controller = MemoryController(config, EnergyModel(config.energy, tempo_enabled=False))
     writeback = _req(kind=KIND_WRITEBACK, enqueue=0)
     demand = _req(kind=KIND_DEMAND, enqueue=50)
-    assert scheduler.pick([writeback, demand], 100, FakeContext()) is demand
-    assert scheduler.pick([writeback], 100, FakeContext()) is writeback
+    controller.submit_async(writeback, 0)
+    controller.submit_async(demand, 50)
+    assert controller.service_one(demand.channel) is demand
+    assert controller.service_one(writeback.channel) is writeback
+    assert FcfsScheduler().pick([writeback], 100, FakeContext()) is writeback
 
 
 def test_frfcfs_prefers_row_hit_over_age():

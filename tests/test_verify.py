@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.common.config import default_system_config
+from repro.common.config import CacheConfig, default_system_config
 from repro.common.errors import ConfigError, InvariantViolation, SimulationError
 from repro.exec import ExperimentExecutor, ResultCache, SimCell
 from repro.exec.cache import QuarantineReason
@@ -136,6 +136,40 @@ def test_tempo_counters_with_tempo_off_caught_by_tempo_causality():
     violations = suite.audit_all(machine)
     assert _auditors_firing(violations) == {"tempo_causality"}
     assert "tagging_without_engine" in _invariants_firing(violations)
+
+
+def _machine_with_queued_writebacks():
+    """A TEMPO-off run on caches small enough that dirty LLC victims
+    appear within a short trace.  A single-core run holds its writebacks
+    until the end-of-run drain; skipping that drain leaves them queued
+    for the auditors."""
+    config = default_system_config().with_tempo(False).copy_with(
+        l1=CacheConfig(size_bytes=4096, assoc=2),
+        l2=CacheConfig(size_bytes=8192, assoc=2),
+        llc=CacheConfig(size_bytes=16384, assoc=2),
+    )
+    sim = SystemSimulator(config, [make_trace("mcf", length=1500, seed=0)], seed=0)
+    sim.controller.drain_all = lambda: sim.controller.now
+    sim.run()
+    queued = list(sim.controller.queued_requests())
+    assert queued and all(request.kind == "writeback" for request in queued)
+    return sim
+
+
+def test_queued_writebacks_audit_clean():
+    machine = _machine_with_queued_writebacks()
+    assert AuditorSuite("full").audit_all(machine) == []
+
+
+def test_lost_queued_writeback_caught_by_stat_conservation():
+    machine = _machine_with_queued_writebacks()
+    suite = AuditorSuite("full")
+    assert suite.audit_all(machine) == []
+    lost = next(iter(machine.controller.queued_requests()))
+    machine.controller._writebacks[lost.channel].remove(lost)
+    violations = suite.audit_all(machine)
+    assert _auditors_firing(violations) == {"stat_conservation"}
+    assert _invariants_firing(violations) == {"queue_accounting"}
 
 
 # ----------------------------------------------------------------------
