@@ -66,8 +66,8 @@ class Cache:
     def lookup(self, paddr, is_write=False):
         """Probe for the line holding *paddr*; updates recency and dirty
         state on a hit.  Returns True on hit."""
-        line = self.line_id(paddr)
-        entries = self._set_for(line)
+        line = paddr >> self._line_shift
+        entries = self._sets[line & self._set_mask]
         dirty = entries.pop(line, None)
         if dirty is None:
             self._misses.value += 1
@@ -86,8 +86,8 @@ class Cache:
 
         Returns the :class:`EvictedLine` victim, or ``None``.
         """
-        line = self.line_id(paddr)
-        entries = self._set_for(line)
+        line = paddr >> self._line_shift
+        entries = self._sets[line & self._set_mask]
         existing = entries.pop(line, None)
         if existing is not None:
             entries[line] = existing or is_write

@@ -11,19 +11,19 @@ LLC victims are returned to the caller so the memory controller can
 account the DRAM write traffic.
 """
 
+from typing import NamedTuple, Optional
+
 from repro.common.stats import StatGroup
 from repro.cache.cache import Cache
 
 
-class AccessResult:
-    """Outcome of a hierarchy probe."""
+class AccessResult(NamedTuple):
+    """Outcome of a hierarchy probe.  Immutable: a hierarchy hands out
+    the same four results (one per outcome) to every caller."""
 
-    __slots__ = ("hit_level", "latency", "needs_dram")
-
-    def __init__(self, hit_level, latency, needs_dram):
-        self.hit_level = hit_level
-        self.latency = latency
-        self.needs_dram = needs_dram
+    hit_level: Optional[str]
+    latency: int
+    needs_dram: bool
 
     def __repr__(self):
         where = self.hit_level if self.hit_level else "dram"
@@ -44,7 +44,17 @@ class CacheHierarchy:
         self.l2 = [Cache(config.l2, "l2.%d" % cpu) for cpu in range(self.num_cores)]
         self.llc = Cache(config.llc, "llc")
         self._pending_dram_writebacks = []
+        self._l1_hit = AccessResult("l1", self._l1_latency, False)
+        self._l2_hit = AccessResult("l2", self._l2_latency, False)
+        self._llc_hit = AccessResult("llc", self._llc_latency, False)
+        # A full miss costs the time spent discovering it (the LLC tag
+        # lookup); the caller goes to DRAM.
+        self._miss = AccessResult(None, self._llc_latency, True)
         self.stats = StatGroup(name)
+        self._l1_writebacks = self.stats.counter_handle("l1_writebacks")
+        self._l2_writebacks = self.stats.counter_handle("l2_writebacks")
+        self._tempo_llc_prefetch_fills = self.stats.counter_handle("tempo_llc_prefetch_fills")
+        self._imp_prefetch_fills = self.stats.counter_handle("imp_prefetch_fills")
         #: Nullable utilization tracks (:mod:`repro.obs.timeline`),
         #: per-core for L1/L2, one shared track for the LLC.
         self._util_l1 = None
@@ -80,16 +90,14 @@ class CacheHierarchy:
         must fetch from memory and then call :meth:`fill_from_memory`.
         """
         if self.l1[cpu].lookup(paddr, is_write):
-            return AccessResult("l1", self._l1_latency, False)
+            return self._l1_hit
         if self.l2[cpu].lookup(paddr, is_write):
             self._fill_upper(cpu, paddr, is_write, into_l2=False)
-            return AccessResult("l2", self._l2_latency, False)
+            return self._l2_hit
         if self.llc.lookup(paddr, is_write):
             self._fill_upper(cpu, paddr, is_write, into_l2=True)
-            return AccessResult("llc", self._llc_latency, False)
-        # Full miss: the caller goes to DRAM.  The latency here is the
-        # time spent discovering the miss (the LLC tag lookup).
-        return AccessResult(None, self._llc_latency, True)
+            return self._llc_hit
+        return self._miss
 
     def _fill_upper(self, cpu, paddr, is_write, into_l2):
         """Refill L1 (and optionally L2) after a lower-level hit."""
@@ -103,13 +111,13 @@ class CacheHierarchy:
 
     def _writeback_to_l2(self, cpu, victim):
         deeper = self.l2[cpu].fill(victim.paddr, is_write=True)
-        self.stats.counter("l1_writebacks").add()
+        self._l1_writebacks.value += 1
         if deeper is not None and deeper.dirty:
             self._writeback_to_llc(deeper)
 
     def _writeback_to_llc(self, victim):
         deeper = self.llc.fill(victim.paddr, is_write=True)
-        self.stats.counter("l2_writebacks").add()
+        self._l2_writebacks.value += 1
         if deeper is not None and deeper.dirty:
             self._pending_dram_writebacks.append(deeper)
 
@@ -133,7 +141,7 @@ class CacheHierarchy:
         """TEMPO's LLC prefetch: install the replay line in the LLC only
         (paper Figure 7, step 7)."""
         victim = self.llc.fill(paddr, is_prefetch=True)
-        self.stats.counter("tempo_llc_prefetch_fills").add()
+        self._tempo_llc_prefetch_fills.value += 1
         if victim is not None and victim.dirty:
             self._pending_dram_writebacks.append(victim)
 
@@ -141,7 +149,7 @@ class CacheHierarchy:
         """IMP-style prefetch fill: L1 + L2 + LLC (IMP prefetches into
         the L1 cache; inclusive fill keeps the model consistent)."""
         self.fill_from_memory(cpu, paddr)
-        self.stats.counter("imp_prefetch_fills").add()
+        self._imp_prefetch_fills.value += 1
 
     def drain_writebacks(self):
         """Collect dirty LLC victims accumulated since the last drain;

@@ -5,10 +5,22 @@ Every simulated structure (TLB, cache, bank, scheduler, ...) owns a
 drivers in :mod:`repro.analysis`.
 
 Counters and histograms must be *created through their group*
-(:meth:`StatGroup.counter` / :meth:`StatGroup.histogram`): a directly
-constructed primitive is invisible to the
+(:meth:`StatGroup.counter` / :meth:`StatGroup.histogram`, or the handle
+factories below): a directly constructed primitive is invisible to the
 :class:`~repro.obs.registry.MetricsRegistry` export (simlint rule SL004
 enforces this).
+
+Per-event stats -- anything counted per reference, walk, fault, DRAM
+access or prefetch -- use *handles* bound once at construction
+(:meth:`StatGroup.counter_handle` / :meth:`StatGroup.histogram_handle`)
+and are incremented with ``handle.value += 1`` or ``handle.record(x)``:
+an attribute read instead of a by-name lookup per event.  A handle joins
+the export the first time it is found non-zero (at :meth:`StatGroup.as_dict`
+or :meth:`StatGroup.reset`, or when :meth:`StatGroup.counter` asks for
+it), exactly when a by-name ``counter(name).add()`` at the first event
+would have created it, so binding a handle never adds a zero-valued key.
+:meth:`StatGroup.counter` serves construction and cold paths (flushes,
+invalidations, unmaps) and increments that may be 0.
 """
 
 from __future__ import annotations
@@ -105,22 +117,68 @@ class StatGroup:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._children: Dict[str, StatGroup] = {}
+        #: Handles not exported yet (see :meth:`counter_handle`).
+        self._pending_counters: Dict[str, Counter] = {}
+        self._pending_histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        """Return (creating on first use) the counter *name*."""
+        """Return (creating on first use) the counter *name*; it is
+        exported from now on, even while zero."""
         found = self._counters.get(name)
         if found is None:
-            found = Counter(name)  # simlint: disable=SL004 (the factory itself)
+            found = self._pending_counters.pop(name, None)
+            if found is None:
+                found = Counter(name)  # simlint: disable=SL004 (the factory itself)
             self._counters[name] = found
         return found
 
     def histogram(self, name: str) -> Histogram:
-        """Return (creating on first use) the histogram *name*."""
+        """Return (creating on first use) the histogram *name*; it is
+        exported from now on, even while empty."""
         found = self._histograms.get(name)
         if found is None:
-            found = Histogram(name)  # simlint: disable=SL004 (the factory itself)
+            found = self._pending_histograms.pop(name, None)
+            if found is None:
+                found = Histogram(name)  # simlint: disable=SL004 (the factory itself)
             self._histograms[name] = found
         return found
+
+    def counter_handle(self, name: str) -> Counter:
+        """Return the counter *name* for a hot path to bind once and
+        increment with ``handle.value += n``.
+
+        Unlike :meth:`counter` this does not export it: the handle joins
+        the export the first time it is found non-zero (see the module
+        docstring).  The same object comes back from every later
+        ``counter_handle(name)`` or ``counter(name)``.
+        """
+        found = self._counters.get(name)
+        if found is None:
+            found = self._pending_counters.get(name)
+            if found is None:
+                found = Counter(name)  # simlint: disable=SL004 (the factory itself)
+                self._pending_counters[name] = found
+        return found
+
+    def histogram_handle(self, name: str) -> Histogram:
+        """The :meth:`counter_handle` of histograms: exported once it
+        holds a sample."""
+        found = self._histograms.get(name)
+        if found is None:
+            found = self._pending_histograms.get(name)
+            if found is None:
+                found = Histogram(name)  # simlint: disable=SL004 (the factory itself)
+                self._pending_histograms[name] = found
+        return found
+
+    def _export_used_handles(self) -> None:
+        """Move every handle that has counted something into the export."""
+        pending = self._pending_counters
+        for name in [name for name, counter in pending.items() if counter.value]:
+            self._counters[name] = pending.pop(name)
+        pending_histograms = self._pending_histograms
+        for name in [name for name, hist in pending_histograms.items() if hist.buckets]:
+            self._histograms[name] = pending_histograms.pop(name)
 
     def child(self, name: str) -> StatGroup:
         """Return (creating on first use) a nested group *name*."""
@@ -131,14 +189,17 @@ class StatGroup:
         return found
 
     def peek(self, name: str) -> int:
-        """Read counter *name* without creating it (0 when absent).
+        """Read counter *name* -- exported or a bound handle -- without
+        creating or exporting it (0 when absent).
 
-        Invariant auditors (:mod:`repro.verify`) use this: calling
-        :meth:`counter` from an audit would materialise a zero-valued
-        counter in the stats export and break the off-vs-full
-        bit-identity guarantee.
+        Invariant auditors (:mod:`repro.verify`) and rate readers use
+        this: calling :meth:`counter` from an audit would materialise a
+        zero-valued counter in the stats export and break the
+        off-vs-full bit-identity guarantee.
         """
         found = self._counters.get(name)
+        if found is None:
+            found = self._pending_counters.get(name)
         return 0 if found is None else found.value
 
     def peek_child(self, name: str) -> Optional[StatGroup]:
@@ -148,13 +209,16 @@ class StatGroup:
     def ratio(self, numerator: str, denominator: str) -> float:
         """hits/(hits+misses)-style convenience: value of counter
         *numerator* divided by the sum of both counters (0.0 if empty)."""
-        num = self.counter(numerator).value
-        den = num + self.counter(denominator).value
+        num = self.peek(numerator)
+        den = num + self.peek(denominator)
         if den == 0:
             return 0.0
         return num / den
 
     def reset(self) -> None:
+        """Zero every stat; a handle used before the reset stays exported
+        (at 0), as a by-name counter created before it would."""
+        self._export_used_handles()
         for counter in self._counters.values():
             counter.reset()
         for histogram in self._histograms.values():
@@ -166,6 +230,7 @@ class StatGroup:
         """Flatten to ``{"group.counter": value}`` (histograms export
         their totals under ``<name>.total``, means under ``<name>.mean``
         and nearest-rank percentiles under ``<name>.p50`` etc.)."""
+        self._export_used_handles()
         path = self.name if prefix is None else "%s.%s" % (prefix, self.name)
         flat: Dict[str, float] = {}
         for name, counter in self._counters.items():

@@ -30,6 +30,8 @@ class PrefetchEngine:
         tempo_config.validate()
         self.config = tempo_config
         self.stats = StatGroup(name)
+        self._suppressed = self.stats.counter_handle("suppressed_not_present")
+        self._built = self.stats.counter_handle("prefetches_built")
 
     @property
     def active(self):
@@ -51,7 +53,7 @@ class PrefetchEngine:
         pte = pt_request.pte
         if pte is None or not pte.present or not pte.is_leaf:
             # Unallocated translation: never prefetch through a fault.
-            self.stats.counter("suppressed_not_present").add()
+            self._suppressed.value += 1
             return None
         target = replay_address(pte.frame_paddr, pt_request.replay_line_index)
         prefetch = MemoryRequest(
@@ -62,7 +64,7 @@ class PrefetchEngine:
             not_before=pt_finish_time + self.config.wait_cycles,
             origin_pt_id=pt_request.req_id,
         )
-        self.stats.counter("prefetches_built").add()
+        self._built.value += 1
         return prefetch
 
     def llc_ready_time(self, prefetch_finish_time):

@@ -68,11 +68,10 @@ class Bank:
         self._refresh_counter = self.stats.counter("refreshes")
 
     def _apply_refresh(self, start):
-        """Perform any refreshes due by *start*; returns the (possibly
-        delayed) earliest time the access can begin.  A refresh
-        precharges the bank (closing the open row)."""
-        if self.next_refresh_at is None:
-            return start
+        """Perform the refreshes due by *start* (:meth:`access` calls
+        this only when one is); returns the delayed earliest time the
+        access can begin.  A refresh precharges the bank (closing the
+        open row)."""
         interval = self._timing.refresh_interval_cycles
         duration = self._timing.refresh_cycles
         while start >= self.next_refresh_at:
@@ -133,7 +132,8 @@ class Bank:
         :class:`~repro.dram.subrow.SubRowBank`.
         """
         start = now if now >= self.ready_at else self.ready_at
-        start = self._apply_refresh(start)
+        if self.next_refresh_at is not None and start >= self.next_refresh_at:
+            start = self._apply_refresh(start)
         prev_row = self.open_row
         was_open = self.effective_open_row(start) is not None
 

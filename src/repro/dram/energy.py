@@ -24,6 +24,9 @@ class EnergyModel:
         self.config = energy_config
         self.tempo_enabled = tempo_enabled
         self.stats = StatGroup("energy")
+        self._dram_accesses = self.stats.counter_handle("dram_accesses")
+        self._prefetch_accesses = self.stats.counter_handle("prefetch_accesses")
+        self._llc_fills = self.stats.counter_handle("llc_fills")
         self._dynamic = 0.0
 
     def record_dram_access(self, outcome, is_prefetch=False):
@@ -45,14 +48,14 @@ class EnergyModel:
                 context={"outcome": outcome, "is_prefetch": is_prefetch},
             )
         self._dynamic += energy
-        self.stats.counter("dram_accesses").add()
+        self._dram_accesses.value += 1
         if is_prefetch:
-            self.stats.counter("prefetch_accesses").add()
+            self._prefetch_accesses.value += 1
 
     def record_llc_fill(self):
         """Charge moving one line into the LLC (TEMPO step 7 / any fill)."""
         self._dynamic += self.config.llc_access_energy
-        self.stats.counter("llc_fills").add()
+        self._llc_fills.value += 1
 
     @property
     def dynamic_energy(self):

@@ -94,6 +94,8 @@ class AdaptiveRowPolicy:
             config.predictor_sets, config.predictor_ways, config.predictor_initial_window
         )
         self.stats = StatGroup("row_policy.adaptive")
+        self._window_grown = self.stats.counter_handle("window_grown")
+        self._window_shrunk = self.stats.counter_handle("window_shrunk")
 
     def close_time(self, row, access_end):
         return access_end + self._cache.window(row)
@@ -112,10 +114,10 @@ class AdaptiveRowPolicy:
         window = self._cache.window(prev_row)
         if new_row == prev_row and not was_open:
             self._cache.update(prev_row, min(window * 2, self.config.predictor_max_window))
-            self.stats.counter("window_grown").add()
+            self._window_grown.value += 1
         elif new_row != prev_row and was_open:
             self._cache.update(prev_row, max(window // 2, MIN_WINDOW))
-            self.stats.counter("window_shrunk").add()
+            self._window_shrunk.value += 1
 
 
 def make_row_policy(row_policy_config):

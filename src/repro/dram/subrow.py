@@ -72,6 +72,11 @@ class SubRowBank:
         self._access_count = 0
         self._cpu_demand = [0] * self.num_cpus
         self.stats = stats if stats is not None else StatGroup("subrow_bank.%d" % bank_id)
+        self._outcome_counters = {
+            OUTCOME_HIT: self.stats.counter_handle(OUTCOME_HIT),
+            OUTCOME_MISS: self.stats.counter_handle(OUTCOME_MISS),
+        }
+        self._refreshes = self.stats.counter_handle("refreshes")
 
     def _general_slots(self):
         return [slot for slot in self.slots if slot.owner != PREFETCH_OWNER]
@@ -118,7 +123,7 @@ class SubRowBank:
             for slot in self.slots:
                 slot.content = None
             self.next_refresh_at += interval
-            self.stats.counter("refreshes").add()
+            self._refreshes.value += 1
         return start
 
     def classify(self, row, now, row_offset=0):
@@ -171,7 +176,7 @@ class SubRowBank:
             latency = latency_override
         end = start + latency
         self.ready_at = end
-        self.stats.counter(outcome).add()
+        self._outcome_counters[outcome].value += 1
         if not is_prefetch:
             self._cpu_demand[cpu] += 1
         self._access_count += 1

@@ -79,6 +79,9 @@ _DEATH_DRAIN_GRACE_SECONDS = 0.2
 #: Exit status a worker dies with when its result channel is torn.
 _CHANNEL_TORN_EXIT = 70
 
+#: Exit status a worker dies with when it finds its supervisor gone.
+_ORPHANED_EXIT = 71
+
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -138,12 +141,18 @@ def _pool_worker(
     suppresses heartbeats and sleeps; the supervisor's liveness
     deadline is what recovers (it kills this process and requeues the
     claim).
+
+    A worker outlives a supervisor that dies without stopping it (a
+    SIGKILL): its main thread would block in ``tasks.get()`` forever.
+    So the heartbeat thread also watches the parent pid, stalls
+    included, and ``os._exit``s once the worker has been reparented.
     """
     import threading
 
     from repro.exec.cache import ResultCache
     from repro.exec.executor import simulate_cell
 
+    supervisor_pid = os.getppid()
     suppress = threading.Event()
     stop = threading.Event()
     send_lock = threading.Lock()
@@ -157,10 +166,12 @@ def _pool_worker(
         return True
 
     def heartbeats() -> None:
+        channel_open = True
         while not stop.is_set():
-            if not suppress.is_set():
-                if not post(("heartbeat", time.time())):
-                    return
+            if os.getppid() != supervisor_pid:
+                os._exit(_ORPHANED_EXIT)
+            if channel_open and not suppress.is_set():
+                channel_open = post(("heartbeat", time.time()))
             stop.wait(heartbeat_interval)
 
     threading.Thread(target=heartbeats, daemon=True).start()

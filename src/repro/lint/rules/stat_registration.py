@@ -3,10 +3,12 @@
 The MetricsRegistry (PR 1) flattens every :class:`StatGroup` in the
 machine into ``SimulationResult.stats``.  That only works because
 counters and histograms are *created through* their group
-(``group.counter("hits")`` / ``group.histogram("latency")``): a
-:class:`Counter` or :class:`Histogram` constructed directly is invisible
-to the registry, so its numbers never reach exported results -- the
-metric exists, increments, and silently exports nothing.
+(``group.counter("hits")`` / ``group.histogram("latency")``, or the
+hot-path handle factories ``group.counter_handle("hits")`` /
+``group.histogram_handle("latency")``): a :class:`Counter` or
+:class:`Histogram` constructed directly is invisible to the registry,
+so its numbers never reach exported results -- the metric exists,
+increments, and silently exports nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class StatRegistrationRule(Rule):
     )
     fixit = (
         "create it through its owning group: group.counter(name) / "
-        "group.histogram(name) (see repro.common.stats.StatGroup)"
+        "group.histogram(name), or group.counter_handle(name) / "
+        "group.histogram_handle(name) on a hot path "
+        "(see repro.common.stats.StatGroup)"
     )
 
     def check_module(self, module: Module) -> Iterator[Finding]:

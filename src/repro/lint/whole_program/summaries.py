@@ -38,6 +38,14 @@ SPECIAL_CALLS = {
 #: Any mention of these dotted chains (not only calls) is a fact.
 SPECIAL_CHAINS = {"os.environ": "env"}
 
+#: StatGroup factory method -> the kind of stat it creates.
+STAT_FACTORIES = {
+    "counter": "counter",
+    "histogram": "histogram",
+    "counter_handle": "counter",
+    "histogram_handle": "histogram",
+}
+
 #: Method names that mutate their receiver in place.
 MUTATOR_METHODS = frozenset(
     {
@@ -368,7 +376,8 @@ class ClassSummary:
 
 @dataclass
 class StatSite:
-    """One ``group.counter("name")`` / ``group.histogram("name")`` site."""
+    """One ``group.counter("name")`` / ``group.histogram("name")`` site
+    (the ``*_handle`` factories included)."""
 
     stat: str
     kind: str  # "counter" | "histogram"
@@ -587,18 +596,20 @@ class _Extractor:
         return None
 
     def _stat_creation_call(self, node: ast.Call) -> Optional[Tuple[str, str]]:
-        """``(stat_name, kind)`` when *node* is group.counter/histogram
-        with a resolvable name."""
+        """``(stat_name, kind)`` when *node* is one of the group's stat
+        factories (``counter``/``histogram`` or their ``*_handle``
+        forms) with a resolvable name."""
         if not isinstance(node.func, ast.Attribute):
             return None
-        if node.func.attr not in ("counter", "histogram"):
+        kind = STAT_FACTORIES.get(node.func.attr)
+        if kind is None:
             return None
         if not node.args:
             return None
         stat = self._resolve_stat_name(node.args[0])
         if stat is None:
             return None
-        return stat, node.func.attr
+        return stat, kind
 
     # -- module level --------------------------------------------------
 

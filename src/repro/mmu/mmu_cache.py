@@ -62,6 +62,9 @@ class MmuCaches:
             for level in self.CACHED_LEVELS
         }
         self.stats = StatGroup(name)
+        self._hits = self.stats.counter_handle("hits")
+        self._misses = self.stats.counter_handle("misses")
+        self._fills = self.stats.counter_handle("fills")
         #: Nullable utilization track (:mod:`repro.obs.timeline`).
         self.util = None
 
@@ -79,16 +82,18 @@ class MmuCaches:
         """
         if is_leaf or level not in self._levels:
             return False
-        hit = self._levels[level].lookup(entry_paddr)
-        self.stats.counter("hits" if hit else "misses").add()
-        return hit
+        if self._levels[level].lookup(entry_paddr):
+            self._hits.value += 1
+            return True
+        self._misses.value += 1
+        return False
 
     def insert(self, level, entry_paddr, is_leaf):
         """Fill a non-leaf entry after the walker fetched it from memory."""
         if is_leaf or level not in self._levels:
             return
         self._levels[level].insert(entry_paddr)
-        self.stats.counter("fills").add()
+        self._fills.value += 1
 
     def flush(self):
         for level in self._levels.values():

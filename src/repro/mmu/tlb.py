@@ -25,6 +25,9 @@ class SetAssociativeTlb:
         # One ordered dict per set: vpn -> frame_base (LRU = first key).
         self._sets = [dict() for _ in range(self.num_sets)]
         self.stats = StatGroup(name)
+        self._hits = self.stats.counter_handle("hits")
+        self._misses = self.stats.counter_handle("misses")
+        self._evictions = self.stats.counter_handle("evictions")
 
     def _set_for(self, vpn):
         return self._sets[vpn & self._set_mask]
@@ -35,13 +38,13 @@ class SetAssociativeTlb:
         A hit refreshes the entry's LRU position.
         """
         vpn = vaddr >> self._page_shift
-        entries = self._set_for(vpn)
+        entries = self._sets[vpn & self._set_mask]
         frame = entries.pop(vpn, None)
         if frame is None:
-            self.stats.counter("misses").add()
+            self._misses.value += 1
             return None
         entries[vpn] = frame  # re-insert as most recent
-        self.stats.counter("hits").add()
+        self._hits.value += 1
         return frame
 
     def insert(self, vaddr, frame_base):
@@ -50,13 +53,13 @@ class SetAssociativeTlb:
         Returns the evicted ``(vpn, frame_base)`` or ``None``.
         """
         vpn = vaddr >> self._page_shift
-        entries = self._set_for(vpn)
+        entries = self._sets[vpn & self._set_mask]
         entries.pop(vpn, None)
         victim = None
         if len(entries) >= self.assoc:
             victim_vpn = next(iter(entries))
             victim = (victim_vpn, entries.pop(victim_vpn))
-            self.stats.counter("evictions").add()
+            self._evictions.value += 1
         entries[vpn] = frame_base
         return victim
 
@@ -100,7 +103,13 @@ class TlbHierarchy:
             self._l2[PAGE_SIZE_1G] = SetAssociativeTlb(
                 config.l2_entries, config.l2_assoc, PAGE_SIZE_1G, "l2_1g"
             )
+        #: The probe order of :meth:`lookup`, as ``(page_size, array)``.
+        self._l1_probes = tuple(self._l1.items())
+        self._l2_probes = tuple(self._l2.items())
         self.stats = StatGroup(name)
+        self._l1_hits = self.stats.counter_handle("l1_hits")
+        self._l2_hits = self.stats.counter_handle("l2_hits")
+        self._misses = self.stats.counter_handle("misses")
         #: Nullable utilization tracks (:mod:`repro.obs.timeline`); the
         #: off path is a single ``is None`` test in :meth:`report_lookup`.
         self.util_l1 = None
@@ -131,18 +140,18 @@ class TlbHierarchy:
         (latency 0 for L1, ``l2_latency`` for L2, during which the L1 is
         refilled), or ``None`` on a full miss.
         """
-        for page_size, array in self._l1.items():
+        for page_size, array in self._l1_probes:
             frame = array.lookup(vaddr)
             if frame is not None:
-                self.stats.counter("l1_hits").add()
+                self._l1_hits.value += 1
                 return frame, page_size, 0
-        for page_size, array in self._l2.items():
+        for page_size, array in self._l2_probes:
             frame = array.lookup(vaddr)
             if frame is not None:
                 self._l1[page_size].insert(vaddr, frame)
-                self.stats.counter("l2_hits").add()
+                self._l2_hits.value += 1
                 return frame, page_size, self.config.l2_latency
-        self.stats.counter("misses").add()
+        self._misses.value += 1
         return None
 
     def fill(self, vaddr, frame_base, page_size):
@@ -175,7 +184,7 @@ class TlbHierarchy:
     def miss_rate(self):
         """Full-hierarchy miss rate over all lookups."""
         stats = self.stats
-        hits = stats.counter("l1_hits").value + stats.counter("l2_hits").value
-        misses = stats.counter("misses").value
+        hits = stats.peek("l1_hits") + stats.peek("l2_hits")
+        misses = stats.peek("misses")
         total = hits + misses
         return misses / total if total else 0.0

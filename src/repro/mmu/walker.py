@@ -88,6 +88,11 @@ class PageTableWalker:
         #: When True, leaf-PT requests carry TEMPO's tag + line index.
         self.tempo_tagging = tempo_tagging
         self.stats = StatGroup(name)
+        self._walks = self.stats.counter_handle("walks")
+        self._faulting_walks = self.stats.counter_handle("faulting_walks")
+        self._tagged_leaf_requests = self.stats.counter_handle("tagged_leaf_requests")
+        self._completed_walks = self.stats.counter_handle("completed_walks")
+        self._memory_steps = self.stats.histogram_handle("memory_steps_per_walk")
         #: Nullable utilization track (:mod:`repro.obs.timeline`).
         self.util = None
 
@@ -112,16 +117,16 @@ class PageTableWalker:
             if not cached:
                 memory_steps += 1
             steps.append(WalkStep(level, entry_paddr, cached, is_leaf))
-        self.stats.counter("walks").add()
-        self.stats.histogram("memory_steps_per_walk").record(memory_steps)
+        self._walks.value += 1
+        self._memory_steps.record(memory_steps)
         if result.faulted:
-            self.stats.counter("faulting_walks").add()
+            self._faulting_walks.value += 1
             return WalkPlan(vaddr, tuple(steps), None, True, result.leaf_level, False, 0)
         page_size = SIZE_FOR_LEAF_LEVEL[result.leaf_level]
         replay_line = line_index_in_page(vaddr, page_size)
         tagged = self.tempo_tagging
         if tagged:
-            self.stats.counter("tagged_leaf_requests").add()
+            self._tagged_leaf_requests.value += 1
         return WalkPlan(
             vaddr,
             tuple(steps),
@@ -153,4 +158,4 @@ class PageTableWalker:
         for step in plan.steps:
             if not step.from_mmu_cache and not step.is_leaf:
                 self.mmu_caches.insert(step.level, step.entry_paddr, step.is_leaf)
-        self.stats.counter("completed_walks").add()
+        self._completed_walks.value += 1

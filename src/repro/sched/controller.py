@@ -39,9 +39,10 @@ PrefetchEngine` is installed:
 import itertools
 
 from repro.common.stats import StatGroup
-from repro.dram.bank import OUTCOME_HIT, DramDevice
+from repro.dram.bank import OUTCOME_CONFLICT, OUTCOME_HIT, OUTCOME_MISS, DramDevice
 from repro.dram.subrow import SubRowSet
 from repro.sched.request import (
+    ALL_KINDS,
     KIND_PT,
     KIND_TEMPO_PREFETCH,
     KIND_WRITEBACK,
@@ -73,7 +74,8 @@ class PrefetchOutcome:
 
 class _SchedulerContext:
     """Predicates the scheduler evaluates against live bank state, keyed
-    by the coordinates ``enqueue`` decoded onto each request."""
+    by the coordinates ``enqueue`` decoded onto each request.  The
+    controller keeps one and moves its ``now`` before each pick."""
 
     __slots__ = ("_banks", "now")
 
@@ -118,13 +120,28 @@ class MemoryController:
         self._slots_used = [0] * channels
         self._clock = [0] * channels
         self._outcomes = {}
+        self._context = _SchedulerContext(self._banks, 0)
         self.stats = StatGroup("controller")
-        # Hot-path counter memos (avoid per-request string formatting).
-        self._served_counters = {}
-        self._outcome_counters = {}
-        self._enqueued_counters = {}
-        self._latency_hists = {}
-        self._served_pt_leaf = self.stats.counter("served_pt_leaf")
+        # Per-kind handles: no string formatting or lookup per request.
+        stats = self.stats
+        self._enqueued_counters = {
+            kind: stats.counter_handle("enqueued_%s" % kind) for kind in ALL_KINDS
+        }
+        self._served_counters = {
+            kind: stats.counter_handle("served_%s" % kind) for kind in ALL_KINDS
+        }
+        self._outcome_counters = {
+            (kind, outcome): stats.counter_handle("outcome_%s_%s" % (kind, outcome))
+            for kind in ALL_KINDS
+            for outcome in (OUTCOME_HIT, OUTCOME_MISS, OUTCOME_CONFLICT)
+        }
+        self._latency_hists = {
+            kind: stats.histogram_handle("latency_%s" % kind) for kind in ALL_KINDS
+        }
+        self._served_pt_leaf = stats.counter("served_pt_leaf")
+        self._prefetch_dropped = stats.counter_handle("prefetch_dropped_txq_full")
+        self._prefetch_cancelled = stats.counter_handle("prefetch_cancelled_late")
+        self._tempo_prefetches_enqueued = stats.counter_handle("tempo_prefetches_enqueued")
         #: Nullable utilization tracks (:mod:`repro.obs.timeline`):
         #: per-channel bus occupancy plus the TEMPO engine's service time.
         self._util_channels = None
@@ -155,7 +172,7 @@ class MemoryController:
         request.row_offset = location.row_offset
         slots = request.slots()
         if request.is_prefetch and self._slots_used[channel] + slots > self._capacity:
-            self.stats.counter("prefetch_dropped_txq_full").add()
+            self._prefetch_dropped.value += 1
             if request.kind == KIND_TEMPO_PREFETCH:
                 self._outcomes[request.origin_pt_id] = PrefetchOutcome(
                     request.paddr, dropped=True
@@ -166,11 +183,7 @@ class MemoryController:
         else:
             self._queues[channel].append(request)
         self._slots_used[channel] += slots
-        counter = self._enqueued_counters.get(request.kind)
-        if counter is None:
-            counter = self.stats.counter("enqueued_%s" % request.kind)
-            self._enqueued_counters[request.kind] = counter
-        counter.value += 1
+        self._enqueued_counters[request.kind].value += 1
         return True
 
     def submit_and_wait(self, request, now):
@@ -272,7 +285,7 @@ class MemoryController:
                 ):
                     del queue[position]
                     self._slots_used[channel] -= request.slots()
-                    self.stats.counter("prefetch_cancelled_late").add()
+                    self._prefetch_cancelled.value += 1
                     return True
         return False
 
@@ -294,7 +307,8 @@ class MemoryController:
         """The scheduler's choice at *now*, or None when nothing is
         eligible.  Writebacks are offered only when no other request is,
         so each ``pick`` sees one of the two lists."""
-        context = _SchedulerContext(self._banks, now)
+        context = self._context
+        context.now = now
         queue = self._queues[channel]
         request = self.scheduler.pick(queue, now, context) if queue else None
         writebacks = self._writebacks[channel]
@@ -366,27 +380,13 @@ class MemoryController:
         self.scheduler.on_scheduled(request, start)
         if self.energy is not None:
             self.energy.record_dram_access(outcome, request.is_prefetch)
-        served = self._served_counters.get(request.kind)
-        if served is None:
-            served = self.stats.counter("served_%s" % request.kind)
-            self._served_counters[request.kind] = served
-        served.value += 1
-        outcome_key = (request.kind, outcome)
-        outcome_counter = self._outcome_counters.get(outcome_key)
-        if outcome_counter is None:
-            outcome_counter = self.stats.counter(
-                "outcome_%s_%s" % (request.kind, outcome)
-            )
-            self._outcome_counters[outcome_key] = outcome_counter
-        outcome_counter.value += 1
+        kind = request.kind
+        self._served_counters[kind].value += 1
+        self._outcome_counters[kind, outcome].value += 1
         # Service-latency distribution per kind (enqueue -> core-visible
         # completion); percentiles surface in the metrics export.
-        latency_hist = self._latency_hists.get(request.kind)
-        if latency_hist is None:
-            latency_hist = self.stats.histogram("latency_%s" % request.kind)
-            self._latency_hists[request.kind] = latency_hist
-        latency_hist.record(request.finish_time - request.enqueue_time)
-        if request.kind == KIND_PT and request.pt_leaf:
+        self._latency_hists[kind].record(request.finish_time - request.enqueue_time)
+        if kind == KIND_PT and request.pt_leaf:
             self._served_pt_leaf.value += 1
         self._post_service_hooks(request, end)
         return request
@@ -399,7 +399,7 @@ class MemoryController:
             if prefetch is not None:
                 accepted = self.enqueue(prefetch)
                 if accepted:
-                    self.stats.counter("tempo_prefetches_enqueued").add()
+                    self._tempo_prefetches_enqueued.value += 1
             else:
                 self._outcomes[request.req_id] = PrefetchOutcome(0, dropped=True)
         elif request.kind == KIND_TEMPO_PREFETCH:

@@ -17,13 +17,15 @@ KIND_TEMPO_PREFETCH = "tempo_prefetch"
 KIND_IMP_PREFETCH = "imp_prefetch"
 KIND_WRITEBACK = "writeback"
 
-_ALL_KINDS = (
+ALL_KINDS = (
     KIND_DEMAND,
     KIND_PT,
     KIND_TEMPO_PREFETCH,
     KIND_IMP_PREFETCH,
     KIND_WRITEBACK,
 )
+
+_PREFETCH_KINDS = (KIND_TEMPO_PREFETCH, KIND_IMP_PREFETCH)
 
 _request_ids = itertools.count()
 
@@ -36,6 +38,7 @@ class MemoryRequest:
         "paddr",
         "is_write",
         "kind",
+        "is_prefetch",
         "cpu",
         "enqueue_time",
         "not_before",
@@ -72,7 +75,7 @@ class MemoryRequest:
         replay_line_index=0,
         origin_pt_id=None,
     ):
-        if kind not in _ALL_KINDS:
+        if kind not in ALL_KINDS:
             raise ConfigError(
                 "unknown request kind %r" % (kind,),
                 context={"kind": kind, "paddr": paddr},
@@ -81,6 +84,7 @@ class MemoryRequest:
         self.paddr = paddr
         self.is_write = is_write
         self.kind = kind
+        self.is_prefetch = kind in _PREFETCH_KINDS
         self.cpu = cpu
         self.enqueue_time = enqueue_time
         self.not_before = not_before
@@ -96,10 +100,6 @@ class MemoryRequest:
         self.start_time = None
         self.finish_time = None
         self.outcome = None
-
-    @property
-    def is_prefetch(self):
-        return self.kind in (KIND_TEMPO_PREFETCH, KIND_IMP_PREFETCH)
 
     @property
     def is_pt(self):

@@ -47,7 +47,10 @@ def _oldest(candidates):
 
 
 def _row_hit_oldest(candidates, context):
-    """FR-FCFS core rule: oldest row-hitting request, else oldest."""
+    """FR-FCFS core rule: oldest row-hitting request, else oldest.  A
+    lone candidate wins either way (``row_hit`` is a pure predicate)."""
+    if len(candidates) == 1:
+        return candidates[0]
     hits = [request for request in candidates if context.row_hit(request)]
     return _oldest(hits) if hits else _oldest(candidates)
 
@@ -232,6 +235,8 @@ class TempoGroupingScheduler:
         self.base = base
         self.name = "tempo+%s" % base.name
         self.stats = StatGroup("sched.tempo")
+        self._pt_first = self.stats.counter_handle("pt_first")
+        self._prefetch_grouped = self.stats.counter_handle("prefetch_grouped")
 
     def pick(self, pending, now, context):
         candidates = _eligible(pending, now, context)
@@ -239,13 +244,13 @@ class TempoGroupingScheduler:
             return None
         pt_requests = [request for request in candidates if request.kind == KIND_PT]
         if pt_requests:
-            self.stats.counter("pt_first").add()
+            self._pt_first.value += 1
             return _row_hit_oldest(pt_requests, context)
         prefetches = [
             request for request in candidates if request.kind == KIND_TEMPO_PREFETCH
         ]
         if prefetches:
-            self.stats.counter("prefetch_grouped").add()
+            self._prefetch_grouped.value += 1
             return _row_hit_oldest(prefetches, context)
         return self.base.pick(pending, now, context)
 

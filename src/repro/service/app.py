@@ -439,6 +439,11 @@ class SweepService:
         path = self.store.telemetry_path(job_id)
         offset = 0
         while True:
+            # Read the state before draining: a job publishes its
+            # terminal state after its last event, so once the state read
+            # here is terminal, the drain below sees every event.
+            job = self.store.get(job_id)
+            state = None if job is None else job.state
             drained = False
             if os.path.exists(path):
                 with open(path) as stream:
@@ -451,10 +456,9 @@ class SweepService:
                         if line.strip():
                             yield line
                 drained = not tail[complete:]
-            job = self.store.get(job_id)
-            if job is not None and job.state not in ("queued", "running") and drained:
+            if state not in (None, "queued", "running") and drained:
                 yield json.dumps(
-                    {"event": "stream_end", "job": job_id, "state": job.state},
+                    {"event": "stream_end", "job": job_id, "state": state},
                     sort_keys=True,
                 )
                 return

@@ -289,6 +289,7 @@ class JobRunner:
         job.state = "running"
         job.started = time.time()
         self.store.save(job)
+        state = job.state
 
         snapshot = self.executor.counters_snapshot()
         failures_before = len(self.executor.failed_cells)
@@ -308,17 +309,17 @@ class JobRunner:
                     executor=self.executor, **spec.driver_kwargs()
                 )
         except (CellExecutionError, SweepAborted, WireError) as exc:
-            job.state = "failed"
+            state = "failed"
             job.error = "%s: %s" % (type(exc).__name__, exc)
         except Exception as exc:  # the service must outlive any one job
-            job.state = "failed"
+            state = "failed"
             job.error = "%s: %s" % (type(exc).__name__, exc)
         else:
             new_failures = self.executor.failed_cells[failures_before:]
             job.missing_cells = [
                 failure.key[:12] for failure in new_failures
             ]
-            job.state = "degraded" if new_failures else "done"
+            state = "degraded" if new_failures else "done"
             job.counters = self.executor.counters_since(snapshot)
             self.store.save_result(
                 job.id,
@@ -339,10 +340,13 @@ class JobRunner:
                 "job_finished",
                 {
                     "job": job.id,
-                    "state": job.state,
+                    "state": state,
                     "counters": dict(job.counters),
                     "error": job.error,
                 },
             )
             telemetry.close()
+            # Publish the terminal state last: a client that sees it can
+            # already fetch the result and every event of the job.
+            job.state = state
             self.store.save(job)

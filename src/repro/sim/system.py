@@ -181,8 +181,10 @@ class SystemSimulator:
         self.engine = PrefetchEngine(config.tempo) if tempo_on else None
         self.controller = MemoryController(config, self.energy, self.engine)
         self.stats = StatGroup("system")
-        # Hot-path handle: one histogram record per page-table walk.
+        # Hot-path handles: one histogram record per page-table walk and
+        # per upper-level page-table access that reaches DRAM.
         self._walk_hist = self.stats.histogram("walk_cycles")
+        self._ptw_dram_upper_level = self.stats.histogram_handle("ptw_dram_upper_level")
 
         # hugetlbfs pools must be reserved before memhog fragments memory.
         self.cores = []
@@ -859,7 +861,7 @@ class SystemSimulator:
             core.dram_refs.ptw_leaf += 1
         else:
             core.dram_refs.ptw_upper += 1
-            self.stats.histogram("ptw_dram_upper_level").record(step.level)
+            self._ptw_dram_upper_level.record(step.level)
         self.hierarchy.fill_from_memory(core.cpu, step.entry_paddr)
         self.energy.record_llc_fill()
         if self.recorder is not None:

@@ -12,7 +12,7 @@ Virtual layout: every region is placed on a fresh 1 GB-aligned base so
 
 import bisect
 
-from repro.common.constants import PAGE_SIZE_1G
+from repro.common.constants import LEAF_LEVEL_FOR_SIZE, PAGE_SIZE_1G
 from repro.common.errors import MappingError, TranslationFault
 from repro.common.stats import StatGroup
 from repro.vm.page_table import PageTable
@@ -72,6 +72,10 @@ class AddressSpace:
         self._region_bases = []
         self._next_base = REGION_SPACE_BASE
         self.stats = StatGroup("address_space")
+        self._minor_faults = self.stats.counter_handle("minor_faults")
+        self._faults_by_size = {
+            size: self.stats.counter_handle("faults_%d" % size) for size in LEAF_LEVEL_FOR_SIZE
+        }
 
     # ------------------------------------------------------------------
     # Region management
@@ -133,8 +137,8 @@ class AddressSpace:
             )
         page_vbase, frame_paddr, page_size = self.policy.choose_mapping(region, vaddr)
         self.page_table.map(page_vbase, frame_paddr, page_size)
-        self.stats.counter("minor_faults").add()
-        self.stats.counter("faults_%d" % page_size).add()
+        self._minor_faults.value += 1
+        self._faults_by_size[page_size].value += 1
         return frame_paddr, page_size
 
     def ensure_mapped(self, vaddr):

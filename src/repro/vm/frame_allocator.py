@@ -49,6 +49,9 @@ class FrameAllocator:
         self._memhog_fraction = 0.0
         self._memhog_regions = 0
         self.stats = StatGroup("frame_allocator")
+        self._alloc_4k = self.stats.counter_handle("alloc_4k")
+        self._alloc_2m = self.stats.counter_handle("alloc_2m")
+        self._alloc_2m_failed = self.stats.counter_handle("alloc_2m_failed")
 
     # ------------------------------------------------------------------
     # Capacity accounting
@@ -87,7 +90,7 @@ class FrameAllocator:
 
     def alloc_4k(self):
         """Allocate one 4 KB frame; returns its base physical address."""
-        self.stats.counter("alloc_4k").add()
+        self._alloc_4k.value += 1
         if self._free_frames:
             return self._free_frames.pop()
         # Fill the open region before claiming a new one (first-fit, like
@@ -105,10 +108,10 @@ class FrameAllocator:
             return None
         success_probability = (1.0 - self._memhog_fraction) ** self.contiguity_exponent
         if self._rng.random() > success_probability:
-            self.stats.counter("alloc_2m_failed").add()
+            self._alloc_2m_failed.value += 1
             return None
         region = self._take_region()
-        self.stats.counter("alloc_2m").add()
+        self._alloc_2m.value += 1
         return region * PAGE_SIZE_2M
 
     def alloc_2m(self):

@@ -90,7 +90,11 @@ class PageTable:
         self._allocator = allocator
         self.root = _PageTableNode(PT_LEVELS, allocator.alloc_4k())
         self.stats = StatGroup("page_table")
-        self.stats.counter("table_pages").add()
+        self._table_pages = self.stats.counter("table_pages")
+        self._table_pages.value += 1
+        self._mappings_by_size = {
+            size: self.stats.counter_handle("mappings_%d" % size) for size in LEAF_LEVEL_FOR_SIZE
+        }
         self._mapped_bytes = {size: 0 for size in SUPPORTED_PAGE_SIZES}
         # Footprint coverage is tracked at 2 MB-chunk granularity: a
         # chunk is superpage-backed when a 2 MB/1 GB mapping covers it,
@@ -156,7 +160,7 @@ class PageTable:
             self._chunks_4k.add(vaddr >> 21)
         else:
             self._super_chunks += page_size >> 21
-        self.stats.counter("mappings_%d" % page_size).add()
+        self._mappings_by_size[page_size].value += 1
 
     def _descend_or_create(self, node, vaddr, level):
         index = radix_index(vaddr, level)
@@ -166,7 +170,7 @@ class PageTable:
             node.entries[index] = PageTableEntry(
                 present=True, is_leaf=False, frame_paddr=child.base_paddr, child=child
             )
-            self.stats.counter("table_pages").add()
+            self._table_pages.value += 1
             return child
         if entry.is_leaf:
             raise MappingError(
@@ -260,7 +264,7 @@ class PageTable:
     @property
     def table_pages(self):
         """Number of 4 KB pages the table itself occupies."""
-        return self.stats.counter("table_pages").value
+        return self._table_pages.value
 
     def mapped_bytes(self, page_size=None):
         """Footprint mapped at *page_size* (or total when ``None``)."""

@@ -247,7 +247,10 @@ def test_sl004_group_factories_are_silent(tmp_path):
         "from repro.common.stats import StatGroup\n"
         "stats = StatGroup('tlb')\n"
         "stats.counter('hits').add()\n"
-        "stats.histogram('latency').record(3)\n",
+        "stats.histogram('latency').record(3)\n"
+        "misses = stats.counter_handle('misses')\n"
+        "misses.value += 1\n"
+        "stats.histogram_handle('steps').record(2)\n",
         only="SL004",
     )
     assert findings == []

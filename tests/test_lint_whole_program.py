@@ -271,6 +271,8 @@ STATS_PRELUDE = (
     "        self.name = name\n"
     "    def counter(self, name):\n"
     "        return self\n"
+    "    def counter_handle(self, name):\n"
+    "        return self\n"
     "    def add(self, n=1):\n"
     "        pass\n"
 )
@@ -342,6 +344,42 @@ def test_sl013_registered_and_incremented_is_silent(tmp_path):
             )
         },
         only="SL013",
+    )
+    assert findings == []
+
+
+def _handle_project(increment):
+    return {
+        "repro/sim/snippet.py": (
+            STATS_PRELUDE + "class Registry:\n"
+            "    def __init__(self):\n"
+            "        self.groups = []\n"
+            "class Sim:\n"
+            "    def __init__(self):\n"
+            "        self.stats = StatGroup('sim')\n"
+            "        self._hits = self.stats.counter_handle('hits')\n"
+            "    def run(self):\n"
+            "        %s\n"
+            "def main():\n"
+            "    sim = Sim()\n"
+            "    sim.run()\n"
+            "    registry = Registry()\n"
+            "    registry.register(sim.stats)\n" % increment
+        )
+    }
+
+
+def test_sl013_fires_on_handle_bound_never_incremented(tmp_path):
+    findings = wp_lint(tmp_path, _handle_project("pass"), only="SL013")
+    assert any(
+        "'hits'" in finding.message and "never incremented" in finding.message
+        for finding in findings
+    )
+
+
+def test_sl013_incremented_handle_is_silent(tmp_path):
+    findings = wp_lint(
+        tmp_path, _handle_project("self._hits.value += 1"), only="SL013"
     )
     assert findings == []
 

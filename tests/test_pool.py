@@ -194,6 +194,26 @@ def _table_lines(output):
     return [line for line in lines if not line.startswith(("executor:", "warning:"))]
 
 
+def _children(pid):
+    """Child pids of *pid*'s main thread, or None where /proc lacks the
+    children file."""
+    try:
+        with open("/proc/%d/task/%d/children" % (pid, pid)) as stream:
+            return [int(child) for child in stream.read().split()]
+    except OSError:
+        return None
+
+
+def _alive(pid):
+    """True while *pid* runs (a zombie awaiting its reaper has exited)."""
+    try:
+        with open("/proc/%d/stat" % pid) as stream:
+            state = stream.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
 def test_sigkill_supervisor_then_resume_is_bit_identical(tmp_path):
     cache_dir = str(tmp_path / "cache")
     telemetry = str(tmp_path / "t.jsonl")
@@ -228,8 +248,17 @@ def test_sigkill_supervisor_then_resume_is_bit_identical(tmp_path):
             time.sleep(0.01)
         else:
             raise AssertionError("no cell_done before the kill deadline")
+        workers = _children(process.pid)
         os.kill(process.pid, signal.SIGKILL)
         process.wait(timeout=30)
+        if workers is not None:
+            # Orphaned pool workers notice the dead supervisor at their
+            # next heartbeat (every 0.25 s) and exit.
+            assert workers, "the supervisor had no pool workers at the kill"
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and any(map(_alive, workers)):
+                time.sleep(0.02)
+            assert not any(map(_alive, workers)), workers
     finally:
         if process.poll() is None:
             process.kill()

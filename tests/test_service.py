@@ -13,6 +13,7 @@ Three layers, cheapest first:
   bit-identical to an uninterrupted run.
 """
 
+import asyncio
 import json
 import os
 import signal
@@ -24,7 +25,7 @@ import time
 import pytest
 
 from repro.analysis.experiments import fig01_runtime_breakdown
-from repro.exec import ExperimentExecutor, ResultCache
+from repro.exec import ExperimentExecutor, ResultCache, TelemetryLog
 from repro.service import build_service
 from repro.service.app import match_route
 from repro.service.client import ServiceClient, ServiceError
@@ -201,6 +202,48 @@ def test_event_stream_brackets_the_job(server):
     assert "cell_done" in events
     assert events.index("cell_done") < events.index("job_finished")
     assert events.index("job_finished") < events.index("stream_end")
+
+
+def test_event_stream_keeps_events_written_before_the_terminal_state(tmp_path):
+    # The job finishes while the stream sits between draining the file
+    # and checking the state: the stream must still deliver job_finished.
+    service = build_service(cache_dir=str(tmp_path / "cache"))
+    job = service.store.create(parse_job_spec({"figure": "fig01", "length": 450}))
+    job.state = "running"
+    path = service.store.telemetry_path(job.id)
+    with open(path, "w") as stream:
+        stream.write('{"event": "job_started"}\n')
+
+    async def collect():
+        lines = service._event_lines(job.id)
+        seen = [json.loads(await lines.__anext__())["event"]]
+        with open(path, "a") as stream:
+            stream.write('{"event": "job_finished"}\n')
+        job.state = "done"
+        async for line in lines:
+            seen.append(json.loads(line)["event"])
+        return seen
+
+    assert asyncio.run(collect()) == ["job_started", "job_finished", "stream_end"]
+
+
+def test_job_state_turns_terminal_after_its_result_and_last_event(tmp_path, monkeypatch):
+    service = build_service(cache_dir=str(tmp_path / "cache"))
+    job = service.store.create(
+        parse_job_spec({"figure": "fig01", "length": 300, "workloads": ["xsbench"]})
+    )
+    seen = []
+    emit = TelemetryLog.emit
+
+    def spy(self, event, fields=None):
+        if event == "job_finished":
+            seen.append((job.state, service.store.load_result(job.id) is not None))
+        emit(self, event, fields)
+
+    monkeypatch.setattr(TelemetryLog, "emit", spy)
+    service.runner.run_job(job)
+    assert seen == [("running", True)]
+    assert job.state == "done"
 
 
 def test_health_figures_and_cache_endpoints(server):

@@ -77,7 +77,9 @@ def test_stat_group_ratio():
     group.counter("hits").add(3)
     group.counter("misses").add(1)
     assert group.ratio("hits", "misses") == 0.75
-    assert StatGroup("empty").ratio("hits", "misses") == 0.0
+    empty = StatGroup("empty")
+    assert empty.ratio("hits", "misses") == 0.0
+    assert empty.as_dict() == {}  # reading a rate creates no counters
 
 
 def test_stat_group_nested_export():
@@ -118,3 +120,65 @@ def test_stat_group_reset_recurses():
     assert flat["root.a"] == 0
     assert flat["root.nested.b"] == 0
     assert flat["root.h.total"] == 0
+
+
+def test_unused_handle_is_not_exported():
+    group = StatGroup("g")
+    group.counter_handle("hits")
+    group.histogram_handle("lat")
+    assert group.as_dict() == {}
+
+
+def test_peek_reads_handle_without_exporting():
+    group = StatGroup("g")
+    handle = group.counter_handle("hits")
+    assert group.peek("hits") == 0
+    assert group.as_dict() == {}
+    handle.value += 3
+    assert group.peek("hits") == 3
+    assert group.ratio("hits", "misses") == 1.0
+
+
+def test_handle_is_exported_once_nonzero():
+    group = StatGroup("g")
+    handle = group.counter_handle("hits")
+    handle.value += 1
+    assert group.as_dict() == {"g.hits": 1}
+    handle.value += 1
+    assert group.as_dict() == {"g.hits": 2}
+
+
+def test_handle_used_before_reset_stays_exported_at_zero():
+    group = StatGroup("g")
+    used = group.counter_handle("used")
+    group.counter_handle("unused")
+    used.value += 5
+    group.reset()
+    assert used.value == 0
+    assert group.as_dict() == {"g.used": 0}
+
+
+def test_counter_returns_the_handle_and_exports_it():
+    group = StatGroup("g")
+    handle = group.counter_handle("hits")
+    assert group.counter_handle("hits") is handle
+    assert group.counter("hits") is handle
+    assert group.as_dict() == {"g.hits": 0}
+    assert group.counter_handle("hits") is handle
+    handle.value += 1
+    assert group.as_dict() == {"g.hits": 1}
+
+
+def test_histogram_handle_follows_the_handle_rule():
+    group = StatGroup("g")
+    handle = group.histogram_handle("lat")
+    assert group.histogram_handle("lat") is handle
+    assert group.as_dict() == {}
+    handle.record(7)
+    assert group.as_dict()["g.lat.total"] == 1
+    group.reset()
+    assert group.as_dict()["g.lat.total"] == 0
+    fresh = StatGroup("g")
+    other = fresh.histogram_handle("lat")
+    assert fresh.histogram("lat") is other
+    assert fresh.as_dict()["g.lat.total"] == 0

@@ -197,3 +197,16 @@ def test_4k_only_config_reports_zero_superpages(config):
     config = config.copy_with(vm=replace(config.vm, thp_enabled=False))
     result = SystemSimulator(config, [_random_trace()]).run()
     assert result.superpage_fraction == 0.0
+
+
+@pytest.mark.parametrize("tempo", [False, True])
+def test_tempo_only_stats_exported_only_with_tempo(config, tempo):
+    # Handles for TEMPO's per-event counters are bound on every run; a
+    # TEMPO-off run never increments them, so they must stay out of the
+    # export, exactly as when they were created at the first increment.
+    trace = make_trace("xsbench", length=800, seed=0)
+    stats = SystemSimulator(config.with_tempo(tempo), [trace]).run().stats
+    for key in ("core0.walker.tagged_leaf_requests", "energy.prefetch_accesses"):
+        assert (key in stats) == tempo
+        if tempo:
+            assert stats[key] > 0

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.common.config import TlbConfig
+from repro.common.config import MmuCacheConfig, TlbConfig
 from repro.common.constants import PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE_4K
+from repro.mmu.mmu_cache import MmuCaches
 from repro.mmu.tlb import SetAssociativeTlb, TlbHierarchy
 
 
@@ -76,6 +77,12 @@ def test_hit_rate():
     tlb.lookup(0x1000)
     tlb.lookup(0x2000)
     assert tlb.hit_rate() == pytest.approx(0.5)
+
+
+def test_hit_rate_of_fresh_array_exports_nothing():
+    tlb = _tlb()
+    assert tlb.hit_rate() == 0.0
+    assert tlb.stats.as_dict() == {}
 
 
 # ---------------------------------------------------------------------
@@ -153,3 +160,11 @@ def test_hierarchy_flush(hierarchy):
     hierarchy.fill(0x1000, 0xAA000, PAGE_SIZE_4K)
     hierarchy.flush()
     assert hierarchy.lookup(0x1000) is None
+
+
+def test_rates_of_fresh_hierarchy_and_mmu_caches_export_nothing(hierarchy):
+    mmu_caches = MmuCaches(MmuCacheConfig())
+    assert hierarchy.miss_rate() == 0.0
+    assert mmu_caches.hit_rate() == 0.0
+    assert hierarchy.stats.as_dict() == {}
+    assert mmu_caches.stats.as_dict() == {}
