@@ -19,17 +19,35 @@ from typing import Dict, Tuple
 from repro.common.constants import (
     CACHE_LINE_BYTES,
     CACHE_LINE_SHIFT,
+    PAGE_SHIFT_4K,
     PAGE_SHIFTS,
     PAGE_SIZE_4K,
     PT_ENTRIES,
-    PTE_BYTES,
+    PT_LEVELS,
+    PTE_SHIFT,
     RADIX_BITS,
     VA_BITS,
 )
 from repro.common.errors import ConfigError
 
 _VA_MASK = (1 << VA_BITS) - 1
-_RADIX_MASK = PT_ENTRIES - 1
+
+#: Mask for one level's 9-bit radix index.
+RADIX_INDEX_MASK = PT_ENTRIES - 1
+
+#: The radix descent, root first: one ``(level, shift)`` pair per
+#: page-table level, L4 taking bits 47:39 and L1 bits 20:12.  At each
+#: level a walk reads entry ``index = (vaddr >> shift) & RADIX_INDEX_MASK``
+#: of the current table page, at ``base_paddr + (index << PTE_SHIFT)``.
+#: Every loop that descends the table (the walker's plan,
+#: ``PageTable.walk`` and ``PageTable.map``) takes its levels from here
+#: and masks each index to 9 bits, so neither :func:`radix_index`'s level
+#: check nor :func:`pte_address`'s range check can fire inside it; those
+#: two helpers stay the validated reference for every other caller.
+RADIX_LEVELS: Tuple[Tuple[int, int], ...] = tuple(
+    (level, PAGE_SHIFT_4K + RADIX_BITS * (level - 1)) for level in range(PT_LEVELS, 0, -1)
+)
+_RADIX_SHIFTS: Dict[int, int] = dict(RADIX_LEVELS)
 
 #: Precomputed masks for the per-record hot paths: the cache-line mask
 #: and the per-page-size offset masks are applied millions of times per
@@ -78,8 +96,7 @@ def radix_index(vaddr: int, level: int) -> int:
             "page-table level must be 1..4, got %r" % (level,),
             context={"level": level, "vaddr": vaddr},
         )
-    shift = 12 + RADIX_BITS * (level - 1)
-    return (canonical(vaddr) >> shift) & _RADIX_MASK
+    return (canonical(vaddr) >> _RADIX_SHIFTS[level]) & RADIX_INDEX_MASK
 
 
 def radix_indices(vaddr: int) -> Tuple[int, int, int, int]:
@@ -96,7 +113,7 @@ def pte_address(table_base_paddr: int, index: int) -> int:
             "radix index out of range: %r" % (index,),
             context={"index": index, "table_base_paddr": table_base_paddr},
         )
-    return table_base_paddr + index * PTE_BYTES
+    return table_base_paddr + (index << PTE_SHIFT)
 
 
 def cache_line_id(addr: int) -> int:

@@ -10,15 +10,19 @@ within the target page is appended to it (6 bits for 4 KB pages).  The
 memory controller uses the tag to trigger the prefetch engine and the
 line index to construct the replay's full physical address.
 
-The walker here is a pure *sequencer*: it produces a :class:`WalkPlan`
-describing the references to perform; the system simulator executes them
-with real timing, then calls :meth:`PageTableWalker.complete` to fill the
-MMU caches and TLB.
+The walker here is a pure *sequencer*: it descends the page table itself,
+from the root, probing the MMU caches level by level, and produces a
+:class:`WalkPlan` describing the references to perform; the system
+simulator executes them with real timing, then calls
+:meth:`PageTableWalker.complete` to fill the MMU caches and TLB.  The
+per-level index and entry address come from the same table
+(``repro.common.addressing.RADIX_LEVELS``) that ``PageTable.walk`` and
+``PageTable.map`` descend with.
 """
 
-from repro.common.addressing import line_index_in_page
-from repro.common.constants import SIZE_FOR_LEAF_LEVEL
-from repro.common.errors import SimulationError
+from repro.common.addressing import RADIX_INDEX_MASK, RADIX_LEVELS, line_index_in_page
+from repro.common.constants import PTE_SHIFT, SIZE_FOR_LEAF_LEVEL
+from repro.common.errors import MappingError, SimulationError
 from repro.common.stats import StatGroup
 
 
@@ -104,37 +108,57 @@ class PageTableWalker:
     def plan(self, vaddr):
         """Build the :class:`WalkPlan` for a TLB miss at *vaddr*.
 
-        MMU-cache lookups happen here (they are combinational and cheap);
-        fills happen in :meth:`complete` after the simulator has actually
-        performed the memory references.
+        One descent of the radix tree from the root: each level's entry
+        is read from its table page and probed in the MMU caches before
+        the walk moves down, stopping at the leaf or at the first
+        missing entry (a faulted plan).  MMU-cache lookups happen here
+        (they are combinational and cheap); fills happen in
+        :meth:`complete` after the simulator has actually performed the
+        memory references.
         """
-        result = self.page_table.walk(vaddr)
+        lookup = self.mmu_caches.lookup
         steps = []
         memory_steps = 0
-        for level, entry_paddr in result.accesses:
-            is_leaf = (not result.faulted) and level == result.leaf_level
-            cached = self.mmu_caches.lookup(level, entry_paddr, is_leaf)
+        node = self.page_table.root
+        for level, shift in RADIX_LEVELS:
+            index = (vaddr >> shift) & RADIX_INDEX_MASK
+            entry_paddr = node.base_paddr + (index << PTE_SHIFT)
+            entry = node.entries.get(index)
+            faulted = entry is None or not entry.present
+            is_leaf = not faulted and entry.is_leaf
+            cached = lookup(level, entry_paddr, is_leaf)
             if not cached:
                 memory_steps += 1
             steps.append(WalkStep(level, entry_paddr, cached, is_leaf))
+            if faulted or is_leaf:
+                break
+            node = entry.child
+        else:
+            # The L1 iteration either reached a leaf or a fault; a
+            # present non-leaf L1 entry is structurally impossible.
+            raise MappingError(
+                "corrupt page table: non-leaf entry at L1 for 0x%x" % vaddr,
+                context={
+                    "vaddr": vaddr,
+                    "accesses": [(step.level, step.entry_paddr) for step in steps],
+                },
+            )
         self._walks.value += 1
         self._memory_steps.record(memory_steps)
-        if result.faulted:
+        if faulted:
             self._faulting_walks.value += 1
-            return WalkPlan(vaddr, tuple(steps), None, True, result.leaf_level, False, 0)
-        page_size = SIZE_FOR_LEAF_LEVEL[result.leaf_level]
-        replay_line = line_index_in_page(vaddr, page_size)
+            return WalkPlan(vaddr, tuple(steps), None, True, level, False, 0)
         tagged = self.tempo_tagging
         if tagged:
             self._tagged_leaf_requests.value += 1
         return WalkPlan(
             vaddr,
             tuple(steps),
-            result.entry,
+            entry,
             False,
-            result.leaf_level,
+            level,
             tagged,
-            replay_line,
+            line_index_in_page(vaddr, SIZE_FOR_LEAF_LEVEL[level]),
         )
 
     def complete(self, plan):

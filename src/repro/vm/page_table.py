@@ -12,11 +12,13 @@ Leaf levels by page size: 4 KB pages terminate at L1, 2 MB at L2, 1 GB at
 L3 (``LEAF_LEVEL_FOR_SIZE``).
 """
 
-from repro.common.addressing import pte_address, radix_index
+from repro.common.addressing import RADIX_INDEX_MASK, RADIX_LEVELS
 from repro.common.constants import (
     LEAF_LEVEL_FOR_SIZE,
+    PAGE_SHIFT_2M,
     PAGE_SIZE_4K,
     PT_LEVELS,
+    PTE_SHIFT,
     SUPPORTED_PAGE_SIZES,
 )
 from repro.common.errors import MappingError, TranslationFault
@@ -102,8 +104,9 @@ class PageTable:
         # the paper's "fraction of memory footprint devoted to
         # superpages" (Figure 10 right) under demand paging, where a
         # byte-weighted ratio would be distorted by partially-touched
-        # 4 KB chunks.
-        self._chunks_4k = set()
+        # 4 KB chunks.  ``_chunks_4k`` counts the base pages mapped in
+        # each chunk, so a chunk leaves it with its last one.
+        self._chunks_4k = {}
         self._super_chunks = 0
 
     @property
@@ -137,19 +140,39 @@ class PageTable:
             )
         leaf_level = LEAF_LEVEL_FOR_SIZE[page_size]
         node = self.root
-        for level in range(PT_LEVELS, leaf_level, -1):
-            node = self._descend_or_create(node, vaddr, level)
-        index = radix_index(vaddr, leaf_level)
-        existing = node.entries.get(index)
-        if existing is not None and existing.present:
+        for level, shift in RADIX_LEVELS:
+            index = (vaddr >> shift) & RADIX_INDEX_MASK
+            entry = node.entries.get(index)
+            if level == leaf_level:
+                break
+            if entry is None or not entry.present:
+                child = _PageTableNode(level - 1, self._allocator.alloc_4k())
+                node.entries[index] = PageTableEntry(
+                    present=True, is_leaf=False, frame_paddr=child.base_paddr, child=child
+                )
+                self._table_pages.value += 1
+                node = child
+            elif entry.is_leaf:
+                raise MappingError(
+                    "0x%x covered by an existing %d-byte superpage" % (vaddr, entry.page_size),
+                    context={
+                        "vaddr": vaddr,
+                        "level": level,
+                        "superpage_size": entry.page_size,
+                        "superpage_frame_paddr": entry.frame_paddr,
+                    },
+                )
+            else:
+                node = entry.child
+        if entry is not None and entry.present:
             raise MappingError(
                 "0x%x already mapped (level %d index %d)" % (vaddr, leaf_level, index),
                 context={
                     "vaddr": vaddr,
                     "level": leaf_level,
                     "index": index,
-                    "existing_frame_paddr": existing.frame_paddr,
-                    "existing_page_size": existing.page_size,
+                    "existing_frame_paddr": entry.frame_paddr,
+                    "existing_page_size": entry.page_size,
                 },
             )
         node.entries[index] = PageTableEntry(
@@ -157,32 +180,11 @@ class PageTable:
         )
         self._mapped_bytes[page_size] += page_size
         if page_size == PAGE_SIZE_4K:
-            self._chunks_4k.add(vaddr >> 21)
+            chunk = vaddr >> PAGE_SHIFT_2M
+            self._chunks_4k[chunk] = self._chunks_4k.get(chunk, 0) + 1
         else:
-            self._super_chunks += page_size >> 21
+            self._super_chunks += page_size >> PAGE_SHIFT_2M
         self._mappings_by_size[page_size].value += 1
-
-    def _descend_or_create(self, node, vaddr, level):
-        index = radix_index(vaddr, level)
-        entry = node.entries.get(index)
-        if entry is None or not entry.present:
-            child = _PageTableNode(level - 1, self._allocator.alloc_4k())
-            node.entries[index] = PageTableEntry(
-                present=True, is_leaf=False, frame_paddr=child.base_paddr, child=child
-            )
-            self._table_pages.value += 1
-            return child
-        if entry.is_leaf:
-            raise MappingError(
-                "0x%x covered by an existing %d-byte superpage" % (vaddr, entry.page_size),
-                context={
-                    "vaddr": vaddr,
-                    "level": level,
-                    "superpage_size": entry.page_size,
-                    "superpage_frame_paddr": entry.frame_paddr,
-                },
-            )
-        return entry.child
 
     def unmap(self, vaddr, page_size=PAGE_SIZE_4K):
         """Remove the leaf mapping covering *vaddr* at *page_size*.
@@ -192,23 +194,28 @@ class PageTable:
         """
         leaf_level = LEAF_LEVEL_FOR_SIZE[page_size]
         node = self.root
-        for level in range(PT_LEVELS, leaf_level, -1):
-            entry = node.entries.get(radix_index(vaddr, level))
-            if entry is None or not entry.present or entry.is_leaf:
+        for level, shift in RADIX_LEVELS:
+            index = (vaddr >> shift) & RADIX_INDEX_MASK
+            entry = node.entries.get(index)
+            if entry is None or not entry.present or entry.is_leaf != (level == leaf_level):
                 raise MappingError(
                     "0x%x is not mapped at %d bytes" % (vaddr, page_size),
                     context={"vaddr": vaddr, "page_size": page_size, "level": level},
                 )
+            if level == leaf_level:
+                break
             node = entry.child
-        index = radix_index(vaddr, leaf_level)
-        entry = node.entries.get(index)
-        if entry is None or not entry.present or not entry.is_leaf:
-            raise MappingError(
-                "0x%x is not mapped at %d bytes" % (vaddr, page_size),
-                context={"vaddr": vaddr, "page_size": page_size, "level": leaf_level},
-            )
         del node.entries[index]
         self._mapped_bytes[page_size] -= page_size
+        if page_size == PAGE_SIZE_4K:
+            chunk = vaddr >> PAGE_SHIFT_2M
+            remaining = self._chunks_4k[chunk] - 1
+            if remaining:
+                self._chunks_4k[chunk] = remaining
+            else:
+                del self._chunks_4k[chunk]
+        else:
+            self._super_chunks -= page_size >> PAGE_SHIFT_2M
         self.stats.counter("unmappings").add()
 
     # ------------------------------------------------------------------
@@ -219,14 +226,16 @@ class PageTable:
         """Perform a full radix walk, returning a :class:`WalkResult`.
 
         The result's ``accesses`` list contains the physical address of
-        each page-table entry a hardware walker reads, in order; the
-        page-table walker model turns those into memory references.
+        each page-table entry a hardware walker reads, in order -- the
+        entries ``PageTableWalker.plan`` reads on a TLB miss in its own
+        descent over the same level table, here with no timing and no
+        MMU-cache probes.
         """
         accesses = []
         node = self.root
-        for level in range(PT_LEVELS, 0, -1):
-            index = radix_index(vaddr, level)
-            accesses.append((level, pte_address(node.base_paddr, index)))
+        for level, shift in RADIX_LEVELS:
+            index = (vaddr >> shift) & RADIX_INDEX_MASK
+            accesses.append((level, node.base_paddr + (index << PTE_SHIFT)))
             entry = node.entries.get(index)
             if entry is None or not entry.present:
                 return WalkResult(tuple(accesses), None, True, level)

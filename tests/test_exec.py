@@ -180,6 +180,31 @@ def test_telemetry_does_not_change_results(tmp_path):
         _assert_identical(expected, actual)
 
 
+def test_cell_done_is_announced_only_once_the_cell_is_durable(tmp_path):
+    """Durable before visible: at the instant ``cell_done`` fires, a
+    resumed process reading the cache directory and the checkpoint
+    journal afresh already finds the cell's payload and its ``done``
+    record."""
+    from repro.exec import CheckpointStore, TelemetryLog
+
+    cache_dir = str(tmp_path / "cache")
+    cells = _pair_cells()
+    keys = [cell.key() for cell in cells]
+    seen = {}
+
+    class ProbingLog(TelemetryLog):
+        def cell_done(self, key, attempt):
+            payload, status = ResultCache(cache_dir).get_entry(key)
+            journal = CheckpointStore.for_batch(cache_dir, keys).states()
+            seen[key] = (status, payload is not None, journal.get(key, {}).get("state"))
+            super().cell_done(key, attempt)
+
+    log = ProbingLog(str(tmp_path / "telemetry.jsonl"))
+    ExperimentExecutor(cache=ResultCache(cache_dir), telemetry=log).run_cells(cells)
+    log.close()
+    assert seen == {key: ("hit", True, "done") for key in keys}
+
+
 # ----------------------------------------------------------------------
 # Cache addressing and invalidation
 # ----------------------------------------------------------------------

@@ -155,3 +155,87 @@ def test_is_mapped(table):
     assert not table.is_mapped(VADDR)
     table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
     assert table.is_mapped(VADDR)
+
+
+def test_unmap_retires_chunks_from_superpage_fraction(table):
+    table.map(0x4000_0000, PAGE_SIZE_2M, PAGE_SIZE_2M)
+    table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
+    assert table.superpage_fraction() == pytest.approx(0.5)
+    table.unmap(VADDR, PAGE_SIZE_4K)
+    assert table.superpage_fraction() == pytest.approx(1.0)
+    table.unmap(0x4000_0000, PAGE_SIZE_2M)
+    assert table.mapped_bytes() == 0
+    assert table.superpage_fraction() == 0.0
+
+
+def test_4k_chunk_stays_counted_until_its_last_page_is_unmapped(table):
+    table.map(0x4000_0000, PAGE_SIZE_2M, PAGE_SIZE_2M)
+    table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
+    table.map(VADDR + PAGE_SIZE_4K, 0xDEF000, PAGE_SIZE_4K)
+    table.unmap(VADDR, PAGE_SIZE_4K)
+    assert table.superpage_fraction() == pytest.approx(0.5)
+    table.unmap(VADDR + PAGE_SIZE_4K, PAGE_SIZE_4K)
+    assert table.superpage_fraction() == pytest.approx(1.0)
+
+
+def test_unmap_1g_subtracts_all_its_chunks(table):
+    table.map(PAGE_SIZE_1G * 3, PAGE_SIZE_1G * 5, PAGE_SIZE_1G)
+    table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
+    assert table.superpage_fraction() == pytest.approx(512 / 513)
+    table.unmap(PAGE_SIZE_1G * 3, PAGE_SIZE_1G)
+    assert table.superpage_fraction() == 0.0
+    table.unmap(VADDR, PAGE_SIZE_4K)
+    assert table.superpage_fraction() == 0.0
+
+
+@pytest.mark.parametrize(
+    "setup, args, context",
+    [
+        ((), (0x1000, 0x2000, 8192), {"vaddr": 0x1000, "page_size": 8192}),
+        ((), (VADDR + 1, 0xABC000, PAGE_SIZE_4K), {"vaddr": VADDR + 1, "page_size": PAGE_SIZE_4K}),
+        (
+            (),
+            (VADDR, 0xABC100, PAGE_SIZE_4K),
+            {"vaddr": VADDR, "frame_paddr": 0xABC100, "page_size": PAGE_SIZE_4K},
+        ),
+        (
+            ((0x4000_0000, PAGE_SIZE_2M, PAGE_SIZE_2M),),
+            (0x4000_3000, 0xABC000, PAGE_SIZE_4K),
+            {
+                "vaddr": 0x4000_3000,
+                "level": 2,
+                "superpage_size": PAGE_SIZE_2M,
+                "superpage_frame_paddr": PAGE_SIZE_2M,
+            },
+        ),
+        (
+            ((VADDR, 0xABC000, PAGE_SIZE_4K),),
+            (VADDR, 0xDEF000, PAGE_SIZE_4K),
+            {
+                "vaddr": VADDR,
+                "level": 1,
+                "index": radix_index(VADDR, 1),
+                "existing_frame_paddr": 0xABC000,
+                "existing_page_size": PAGE_SIZE_4K,
+            },
+        ),
+    ],
+    ids=["unsupported-size", "unaligned-vaddr", "unaligned-frame", "under-superpage", "remap"],
+)
+def test_map_errors_carry_their_context(table, setup, args, context):
+    for mapping in setup:
+        table.map(*mapping)
+    pages_before = table.table_pages
+    with pytest.raises(MappingError) as info:
+        table.map(*args)
+    assert info.value.context == context
+    assert table.table_pages == pages_before
+
+
+def test_corrupt_l1_entry_raises_with_the_levels_read(table):
+    table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
+    accesses = list(table.walk(VADDR).accesses)
+    table.walk(VADDR).entry.is_leaf = False
+    with pytest.raises(MappingError) as info:
+        table.walk(VADDR)
+    assert info.value.context == {"vaddr": VADDR, "accesses": accesses}

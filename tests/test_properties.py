@@ -4,16 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import addressing
-from repro.common.config import CacheConfig, DramConfig, TlbConfig
+from repro.common.config import CacheConfig, DramConfig, MmuCacheConfig, TlbConfig
 from repro.common.constants import (
+    PAGE_SIZE_1G,
     PAGE_SIZE_2M,
     PAGE_SIZE_4K,
     VA_BITS,
 )
+from repro.common.errors import MappingError
 from repro.common.rng import DeterministicRng
 from repro.cache.cache import Cache
 from repro.dram.address_map import AddressMap
+from repro.mmu.mmu_cache import MmuCaches
 from repro.mmu.tlb import SetAssociativeTlb
+from repro.mmu.walker import PageTableWalker
 from repro.vm.frame_allocator import FrameAllocator
 from repro.vm.page_table import PageTable
 
@@ -116,6 +120,103 @@ def test_page_table_walk_agrees_with_mappings(vaddr_seeds):
         assert result.entry.frame_paddr == frame
         assert result.leaf_level == 1
         assert len(result.accesses) == 4
+
+
+# A few radix indices per level, so random mappings share table pages,
+# collide with each other and leave holes.
+_TABLE_INDICES = ((0, 1, 511), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3))  # L4, L3, L2, L1
+
+
+def _vaddr(l4, l3, l2, l1, offset=0, high=0):
+    return (high << 48) | (l4 << 39) | (l3 << 30) | (l2 << 21) | (l1 << 12) | offset
+
+
+_table_vaddrs = st.tuples(*(st.sampled_from(indices) for indices in _TABLE_INDICES))
+_mappings = st.lists(
+    st.tuples(
+        st.sampled_from((PAGE_SIZE_4K, PAGE_SIZE_4K, PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G)),
+        _table_vaddrs,
+    ),
+    max_size=30,
+)
+_probe_vaddrs = st.lists(
+    st.one_of(
+        st.tuples(
+            _table_vaddrs,
+            st.integers(min_value=0, max_value=PAGE_SIZE_4K - 1),
+            st.integers(min_value=0, max_value=(1 << 16) - 1),  # bits 63:48
+        ).map(lambda drawn: _vaddr(*drawn[0], offset=drawn[1], high=drawn[2])),
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _reference_walk(table, vaddr):
+    """The radix descent spelled with the validated helpers:
+    ``(accesses, entry)``, *entry* None when the walk faults."""
+    accesses = []
+    node = table.root
+    for level in (4, 3, 2, 1):
+        index = addressing.radix_index(vaddr, level)
+        accesses.append((level, addressing.pte_address(node.base_paddr, index)))
+        entry = node.entries.get(index)
+        if entry is None or not entry.present:
+            return accesses, None
+        if entry.is_leaf:
+            return accesses, entry
+        node = entry.child
+    raise AssertionError("non-leaf entry at L1")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mappings, _probe_vaddrs)
+def test_walker_descent_matches_page_table_walk(mappings, vaddrs):
+    """The walker's own descent reads exactly the entries
+    ``PageTable.walk`` reads, and both equal the descent built from
+    ``radix_index``/``pte_address``, for 4 KB, 2 MB and 1 GB leaves,
+    holes, and addresses with bits above 47 set."""
+    allocator = FrameAllocator(8 * 1024**3, DeterministicRng(0, "descent"))
+    table = PageTable(allocator)
+    truth = {}  # (vbase, page_size) -> frame
+    for number, (page_size, indices) in enumerate(mappings, start=1):
+        vbase = _vaddr(*indices) & ~(page_size - 1)
+        try:
+            table.map(vbase, number * page_size, page_size)
+        except MappingError:
+            continue  # covered by a superpage, or already mapped
+        truth[(vbase, page_size)] = number * page_size
+    # Also probe each mapping's last byte, and its base with bits 63:48 set.
+    vaddrs = vaddrs + [
+        probe for vbase, size in truth for probe in (vbase + size - 1, vbase | (0xFFFF << 48))
+    ]
+    walker = PageTableWalker(table, MmuCaches(MmuCacheConfig()))
+    for vaddr in vaddrs:
+        plan = walker.plan(vaddr)
+        result = table.walk(vaddr)
+        accesses, entry = _reference_walk(table, vaddr)
+        assert [(step.level, step.entry_paddr) for step in plan.steps] == accesses
+        assert list(result.accesses) == accesses
+        assert plan.faulted == result.faulted == (entry is None)
+        assert plan.leaf_level == result.leaf_level == accesses[-1][0]
+        assert plan.entry is result.entry is entry
+        leaf_flags = [step.is_leaf for step in plan.steps]
+        assert leaf_flags == [False] * (len(accesses) - 1) + [entry is not None]
+        covering = {
+            (addressing.canonical(vaddr) & ~(size - 1), size)
+            for size in (PAGE_SIZE_4K, PAGE_SIZE_2M, PAGE_SIZE_1G)
+        } & set(truth)
+        if entry is None:
+            assert not covering
+            assert not plan.tempo_tagged and plan.replay_line_index == 0
+        else:
+            vbase = addressing.page_base(addressing.canonical(vaddr), entry.page_size)
+            assert covering == {(vbase, entry.page_size)}
+            assert entry.frame_paddr == truth[(vbase, entry.page_size)]
+            assert plan.replay_line_index == addressing.line_index_in_page(vaddr, entry.page_size)
+            walker.complete(plan)
+    assert walker.stats.counter("walks").value == len(vaddrs)
 
 
 @settings(max_examples=25, deadline=None)

@@ -210,3 +210,27 @@ def test_tempo_only_stats_exported_only_with_tempo(config, tempo):
         assert (key in stats) == tempo
         if tempo:
             assert stats[key] > 0
+
+
+@pytest.mark.parametrize("thp, probes", [(False, 1 + 3), (True, 1 + 2)])
+def test_demand_fault_plans_the_walk_twice(config, thp, probes):
+    """A faulting TLB miss plans, maps the page, then plans again, and
+    both plans probe the MMU caches, as hardware restarts the walk
+    after the OS maps the page.  In a fresh address space the first plan
+    faults at L4 (one probe); the second probes each upper level above
+    the leaf: L4-L2 for a 4 KB page, L4-L3 for a 2 MB one."""
+    config = config.copy_with(vm=replace(config.vm, thp_enabled=thp))
+    builder = TraceBuilder("one", seed=1)
+    region = builder.region("data", 64 * MB)
+    builder.read(region.at(5 * 4096 + 64), gap=2)
+    stats = SystemSimulator(config, [builder.build()]).run(warmup=0).stats
+    assert stats["core0.address_space.minor_faults"] == 1
+    assert stats["core0.walker.walks"] == 2
+    assert stats["core0.walker.faulting_walks"] == 1
+    assert stats["core0.walker.completed_walks"] == 1
+    # Cold caches: one memory step for the faulting plan; the second
+    # misses every upper level it probes and also fetches the leaf.
+    assert stats["core0.walker.memory_steps_per_walk.total"] == 2
+    assert stats["core0.walker.memory_steps_per_walk.mean"] == (1 + probes) / 2
+    mmu_probes = stats.get("core0.mmu_cache.hits", 0) + stats.get("core0.mmu_cache.misses", 0)
+    assert mmu_probes == probes

@@ -5,6 +5,7 @@ import pytest
 from repro.common.addressing import line_index_in_page
 from repro.common.config import MmuCacheConfig
 from repro.common.constants import PAGE_SIZE_2M, PAGE_SIZE_4K
+from repro.common.errors import MappingError
 from repro.mmu.mmu_cache import MmuCaches
 from repro.mmu.walker import PageTableWalker
 from repro.vm.page_table import PageTable
@@ -100,3 +101,11 @@ def test_walk_counts(walker):
 def test_leaf_entry_paddr_matches_page_table(walker, table):
     plan = walker.plan(VADDR)
     assert plan.steps[-1].entry_paddr == table.walk(VADDR).accesses[-1][1]
+
+
+def test_corrupt_l1_entry_raises_with_the_levels_read(walker, table):
+    accesses = list(table.walk(VADDR).accesses)
+    table.walk(VADDR).entry.is_leaf = False
+    with pytest.raises(MappingError) as info:
+        walker.plan(VADDR)
+    assert info.value.context == {"vaddr": VADDR, "accesses": accesses}
