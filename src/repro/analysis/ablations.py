@@ -157,7 +157,7 @@ def scheduler_sensitivity(workloads=DEFAULT_WORKLOADS, length=10000, seed=0,
 # ----------------------------------------------------------------------
 
 #: Ablation id -> driver, keyed by the ``figure`` field each result
-#: reports.  The sweep service accepts these ids alongside the paper
+#: reports.  ``repro experiment`` accepts these ids alongside the paper
 #: figures in ``EXPERIMENT_DRIVERS``.
 ABLATION_DRIVERS = {
     "ablation_destinations": prefetch_destinations,
@@ -167,6 +167,6 @@ ABLATION_DRIVERS = {
 }
 
 #: Ablations that study one workload at a time (their driver takes a
-#: singular ``workload=``); a job-spec ``workloads`` list for these must
-#: contain exactly one name.
+#: singular ``workload=``); ``repro experiment --workloads`` must name
+#: at most one workload for these.
 SINGLE_WORKLOAD_ABLATIONS = ("ablation_prefetch_latency",)

@@ -552,9 +552,8 @@ def fig17_subrows(mixes=None, length=6000, seed=0, dedicated_options=(0, 1, 2, 4
 # Driver registry
 # ----------------------------------------------------------------------
 
-#: Figure id -> driver, for every consumer that names figures by id (the
-#: ``repro experiment`` CLI, the sweep service's submission endpoint,
-#: the docs honesty gate).  ``repro.analysis.report`` keeps its own
+#: Figure id -> driver, for the ``repro experiment`` CLI, which names
+#: figures by id.  ``repro.analysis.report`` keeps its own
 #: (driver, kwargs) tuples because it also fixes report-quality lengths.
 EXPERIMENT_DRIVERS = {
     "fig01": fig01_runtime_breakdown,
@@ -571,6 +570,6 @@ EXPERIMENT_DRIVERS = {
 }
 
 #: Figures whose workload set is part of the experiment's definition
-#: (small-footprint set, multiprogrammed mixes): a ``--workloads`` /
-#: job-spec ``workloads`` override is meaningless for these.
+#: (small-footprint set, multiprogrammed mixes): a ``--workloads``
+#: override is meaningless for these.
 FIXED_WORKLOAD_FIGURES = ("fig11_right", "fig16", "fig17")

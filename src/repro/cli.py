@@ -29,9 +29,14 @@ Commands:
 ``experiment FIGURE``
     Run one of the paper-figure experiment drivers (fig01, fig04,
     fig10, fig11_left, fig11_right, fig12, fig13, fig14, fig15, fig16,
-    fig17) and print its table.  ``--workers N`` fans the driver's
-    simulation cells across N worker processes; results are served from
-    (and persisted to) a content-addressed cache unless ``--no-cache``.
+    fig17) or ablation drivers (ablation_destinations,
+    ablation_txq_grouping, ablation_prefetch_latency, which takes at most
+    one ``--workloads`` name, and ablation_schedulers) and print its
+    table.  Bad input (an unknown workload, a non-positive ``--length``)
+    is a usage error (exit 2) before anything runs.  ``--workers N`` fans
+    the driver's simulation cells across N worker processes; results are
+    served from (and persisted to) a content-addressed cache unless
+    ``--no-cache``.
     Sweeps are fault-tolerant (``docs/resilience.md``): failing cells
     retry up to ``--max-retries`` times, ``--cell-timeout`` kills hung
     workers, ``--resume`` continues an interrupted sweep from its
@@ -49,19 +54,6 @@ Commands:
     ``--faults``) work as for ``experiment``.  With ``--allow-partial``
     a degraded report carries a banner listing the missing cells and
     the run exits 3.
-``serve``
-    Run the sweep service: an asyncio HTTP API
-    (``docs/service.md``) that owns one long-lived executor and
-    content-addressed cache and serves many concurrent clients -- job
-    submission, status polling, live telemetry streaming, and
-    result/manifest retrieval.  ``--host``/``--port`` pick the bind
-    address (``--port 0`` asks the OS for a free port, announced on
-    stdout); ``--cache-dir`` locates the shared cache and the service's
-    job journal; ``--workers`` fans each sweep's cells across worker
-    processes.  A server killed mid-sweep resumes its journaled jobs on
-    restart with zero re-simulation.  Exits 0 on clean (signal)
-    shutdown, 1 when serving fails (e.g. the port is taken), 2 on
-    invalid options.
 ``verify``
     Run the differential/metamorphic oracle suite (``repro.verify``):
     run-to-run determinism, TEMPO's replay-reduction metamorphic,
@@ -99,6 +91,7 @@ from repro.workloads.registry import (
     EXTENSION_WORKLOADS,
     SMALL_WORKLOADS,
     make_trace,
+    workload_names,
 )
 
 
@@ -133,7 +126,6 @@ def _build_executor(args):
     from repro.exec import (
         ExperimentExecutor,
         FaultSpec,
-        HTTPBackend,
         ResiliencePolicy,
         ResultCache,
         default_cache_dir,
@@ -141,10 +133,7 @@ def _build_executor(args):
 
     cache = None
     if not args.no_cache:
-        remote = None
-        if getattr(args, "cache_url", None):
-            remote = HTTPBackend(args.cache_url)
-        cache = ResultCache(args.cache_dir or default_cache_dir(), remote=remote)
+        cache = ResultCache(args.cache_dir or default_cache_dir())
     policy = ResiliencePolicy(
         max_retries=args.max_retries,
         cell_timeout=args.cell_timeout,
@@ -345,17 +334,24 @@ def _cmd_trace(args, out):
 
 
 def _cmd_experiment(args, out):
+    from repro.analysis.ablations import (
+        ABLATION_DRIVERS,
+        SINGLE_WORKLOAD_ABLATIONS,
+    )
     from repro.analysis.experiments import (
         EXPERIMENT_DRIVERS,
         FIXED_WORKLOAD_FIGURES,
     )
     from repro.analysis.tables import render_experiment
 
-    driver = EXPERIMENT_DRIVERS.get(args.figure)
+    driver = EXPERIMENT_DRIVERS.get(args.figure) or ABLATION_DRIVERS.get(args.figure)
     if driver is None:
         out.write(
             "unknown figure %r; choose from: %s\n"
-            % (args.figure, ", ".join(sorted(EXPERIMENT_DRIVERS)))
+            % (
+                args.figure,
+                ", ".join(sorted(EXPERIMENT_DRIVERS) + sorted(ABLATION_DRIVERS)),
+            )
         )
         return 2
     kwargs = {"length": args.length}
@@ -365,6 +361,14 @@ def _cmd_experiment(args, out):
                 "warning: %s uses a fixed workload set; ignoring --workloads %s\n"
                 % (args.figure, " ".join(args.workloads))
             )
+    elif args.figure in SINGLE_WORKLOAD_ABLATIONS and args.workloads:
+        if len(args.workloads) > 1:
+            out.write(
+                "error: %s studies one workload; pass exactly one --workloads name\n"
+                % args.figure
+            )
+            return 2
+        kwargs["workload"] = args.workloads[0]
     elif args.workloads:
         kwargs["workloads"] = tuple(args.workloads)
     from repro.exec import CellExecutionError, SweepAborted
@@ -518,41 +522,32 @@ def _cmd_report(args, out):
     return _executor_exit_code(executor, out)
 
 
-def _cmd_serve(args, out):
-    from repro.service import build_service
+def _checked(kind, accept, requirement):
+    """An argparse ``type=`` that parses with *kind* and rejects values
+    failing *accept*, so bad input is a usage error (exit 2) raised
+    before anything is simulated or cached."""
 
-    if not 0 <= args.port <= 65535:
-        out.write("error: --port must be in 0..65535 (got %d)\n" % args.port)
-        return 2
-    if args.workers < 1:
-        out.write("error: --workers must be >= 1 (got %d)\n" % args.workers)
-        return 2
-    try:
-        service = build_service(
-            cache_dir=args.cache_dir,
-            workers=args.workers,
-            check_invariants=_invariant_mode(args),
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-            heartbeat_timeout=args.heartbeat_timeout,
-            allow_partial=args.allow_partial,
-            faults=args.faults,
-        )
-    except ValueError as exc:
-        out.write("error: %s\n" % exc)
-        return 2
+    def parse(text):
+        try:
+            value = kind(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("%r is not %s" % (text, requirement))
 
-    def announce(host, port):
-        out.write("serving on http://%s:%d\n" % (host, port))
-        out.flush()
+    return parse
 
-    try:
-        service.run(args.host, args.port, announce=announce)
-    except OSError as exc:
-        out.write("error: cannot serve on %s:%d: %s\n" % (args.host, args.port, exc))
-        return 1
-    out.write("sweep service stopped\n")
-    return 0
+
+_positive_int = _checked(int, lambda value: value > 0, "a positive integer")
+_non_negative_int = _checked(
+    int, lambda value: value >= 0, "a non-negative integer"
+)
+_positive_seconds = _checked(
+    float, lambda value: value > 0, "a positive number of seconds"
+)
+#: Every name ``make_trace`` accepts (``repro list`` prints the same set).
+_WORKLOADS = workload_names(include_extensions=True)
 
 
 def build_parser():
@@ -567,9 +562,11 @@ def build_parser():
     def add_common(sub, needs_workload=True):
         if needs_workload:
             sub.add_argument("workload", nargs="?", default="xsbench",
+                             choices=_WORKLOADS, metavar="WORKLOAD",
                              help="workload name (default: xsbench)")
             sub.add_argument("--trace", help="replay a saved trace file instead")
-        sub.add_argument("--length", type=int, default=12000, help="trace records")
+        sub.add_argument("--length", type=_positive_int, default=12000,
+                         help="trace records")
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--row-policy", choices=("open", "closed", "adaptive"))
         sub.add_argument("--scheduler", choices=("fcfs", "frfcfs", "bliss", "atlas"))
@@ -655,9 +652,9 @@ def build_parser():
     add_common(compare_parser)
 
     trace_parser = subparsers.add_parser("trace", help="generate a trace file")
-    trace_parser.add_argument("workload")
+    trace_parser.add_argument("workload", choices=_WORKLOADS, metavar="WORKLOAD")
     trace_parser.add_argument("-o", "--output", required=True)
-    trace_parser.add_argument("--length", type=int, default=12000)
+    trace_parser.add_argument("--length", type=_positive_int, default=12000)
     trace_parser.add_argument("--seed", type=int, default=0)
 
     def add_executor_flags(sub):
@@ -688,13 +685,6 @@ def build_parser():
             help="cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro-tempo)",
         )
         sub.add_argument(
-            "--cache-url",
-            metavar="URL",
-            help="remote sweep-service cache backend (http://host:port); "
-            "reads fill from it, writes replicate to it, and any failure "
-            "degrades gracefully to the local tier",
-        )
-        sub.add_argument(
             "--resume",
             action="store_true",
             help="continue an interrupted sweep from its checkpoint journal "
@@ -702,14 +692,14 @@ def build_parser():
         )
         sub.add_argument(
             "--max-retries",
-            type=int,
+            type=_non_negative_int,
             default=2,
             metavar="N",
             help="retries per failing cell before giving it up (default: 2)",
         )
         sub.add_argument(
             "--cell-timeout",
-            type=float,
+            type=_positive_seconds,
             default=None,
             metavar="SECONDS",
             help="kill and retry any cell running longer than this",
@@ -736,9 +726,11 @@ def build_parser():
     experiment_parser = subparsers.add_parser(
         "experiment", help="run a paper-figure experiment driver"
     )
-    experiment_parser.add_argument("figure")
-    experiment_parser.add_argument("--length", type=int, default=8000)
-    experiment_parser.add_argument("--workloads", nargs="*", default=None)
+    experiment_parser.add_argument("figure", help="figure or ablation id")
+    experiment_parser.add_argument("--length", type=_positive_int, default=8000)
+    experiment_parser.add_argument(
+        "--workloads", nargs="*", default=None, choices=_WORKLOADS, metavar="WORKLOAD"
+    )
     add_executor_flags(experiment_parser)
     add_invariant_flag(experiment_parser)
 
@@ -752,73 +744,6 @@ def build_parser():
     add_executor_flags(report_parser)
     add_invariant_flag(report_parser)
 
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the sweep service: an HTTP API over the shared executor",
-    )
-    serve_parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
-    )
-    serve_parser.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        help="TCP port; 0 asks the OS for a free one, announced on stdout "
-        "(default: 8765)",
-    )
-    serve_parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="cache location shared with the CLI sweeps; the service also "
-        "journals its jobs here (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-tempo)",
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="persistent pool workers each job's cells fan out across "
-        "(jobs themselves run one at a time; default: 1)",
-    )
-    serve_parser.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="kill and respawn a pool worker silent longer than this "
-        "(default: 10)",
-    )
-    serve_parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="default retries per failing cell; job specs may override "
-        "(default: 2)",
-    )
-    serve_parser.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default per-cell timeout; job specs may override",
-    )
-    serve_parser.add_argument(
-        "--allow-partial",
-        action="store_true",
-        help="by default degrade (not fail) jobs whose cells exhaust retries",
-    )
-    serve_parser.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="deterministic fault injection for testing, e.g. "
-        "'seed=0,kill=0.3,abort-after=4'",
-    )
-    add_invariant_flag(serve_parser)
-
     verify_parser = subparsers.add_parser(
         "verify", help="run the differential/metamorphic oracle suite"
     )
@@ -827,7 +752,7 @@ def build_parser():
     )
     verify_parser.add_argument(
         "--length",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="trace records per oracle run (default: 4000, or 1200 with --quick)",
@@ -897,7 +822,6 @@ def main(argv=None, out=None):
         "trace": _cmd_trace,
         "experiment": _cmd_experiment,
         "report": _cmd_report,
-        "serve": _cmd_serve,
         "verify": _cmd_verify,
         "lint": _cmd_lint,
     }

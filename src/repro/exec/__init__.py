@@ -7,12 +7,6 @@ back together in driver order.  See ``docs/performance.md`` for the
 architecture and the cache-key derivation.
 """
 
-from repro.exec.backend import (
-    CacheBackend,
-    CacheBackendError,
-    HTTPBackend,
-    LocalDirBackend,
-)
 from repro.exec.cache import QuarantineReason, ResultCache, default_cache_dir
 from repro.exec.cells import PAYLOAD_SCHEMA, SimCell, trace_key
 from repro.exec.executor import ExperimentExecutor, simulate_cell
@@ -30,17 +24,13 @@ from repro.exec.serialize import payload_to_result, result_to_payload
 from repro.exec.telemetry import TelemetryLog
 
 __all__ = [
-    "CacheBackend",
-    "CacheBackendError",
     "CellExecutionError",
     "CellFailure",
     "CheckpointStore",
     "ExperimentExecutor",
     "FaultPlan",
     "FaultSpec",
-    "HTTPBackend",
     "InjectedFault",
-    "LocalDirBackend",
     "PAYLOAD_SCHEMA",
     "PoolConfig",
     "QuarantineReason",

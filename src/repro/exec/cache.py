@@ -1,6 +1,6 @@
 """Content-addressed store for results and generated traces.
 
-Layout of the local tier under the cache root::
+Layout under the cache root::
 
     results/<aa>/<key>.json         serialized SimulationResult payloads
     traces/<aa>/<key>.trace         traceio-format generated traces
@@ -15,18 +15,6 @@ never addressed again.  Writes are atomic (unique temp file + rename),
 which makes concurrent writers -- pool workers or parallel CI jobs
 sharing a cache directory -- safe: last rename wins and every version is
 identical by construction.
-
-Result payloads are stored through the :class:`~repro.exec.backend`
-interface: a :class:`~repro.exec.backend.LocalDirBackend` (the layout
-above) is always present, and an optional *remote* backend (e.g.
-:class:`~repro.exec.backend.HTTPBackend` against a ``repro serve``
-cache) layers a shared tier on top.  Reads are local-first with a
-remote fill; writes are local-first with a best-effort remote
-replicate.  Any remote failure degrades the cache to local-only for
-the rest of the run (tallied in :attr:`ResultCache.backend_degraded`)
--- a dead cache server slows a sweep down, never corrupts or aborts
-it.  Traces, quarantine evidence, and checkpoint journals are always
-local: they describe *this host's* run.
 """
 
 from __future__ import annotations
@@ -34,20 +22,29 @@ from __future__ import annotations
 import enum
 import json
 import os
-from typing import Any, Dict, Iterable, Optional, Set, Tuple, Union
+import tempfile
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from repro.exec.backend import (
-    CacheBackend,
-    CacheBackendError,
-    LocalDirBackend,
-    atomic_write,
-)
 from repro.exec.cells import trace_key
 from repro.sim.trace import Trace
 from repro.sim.traceio import load_trace, save_trace
 
-#: Back-compat alias; new code should import from :mod:`repro.exec.backend`.
-_atomic_write = atomic_write
+
+def atomic_write(path: str, write_fn: Callable[[str], object]) -> None:
+    """Write *path* through *write_fn* into a unique temp file, then
+    rename it into place (the atomic write the module docstring
+    describes)."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        os.close(fd)
+        write_fn(temp_path)
+        os.replace(temp_path, path)
+    except BaseException:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+        raise
 
 
 class QuarantineReason(str, enum.Enum):
@@ -78,60 +75,20 @@ def default_cache_dir() -> str:
 
 
 class ResultCache:
-    """Persistent result + trace store, addressed by content hash.
+    """Persistent result + trace store, addressed by content hash."""
 
-    *remote* layers an optional shared backend over the local
-    directory; see the module docstring for the tiering and
-    degradation rules.
-    """
-
-    def __init__(
-        self, root: Optional[str] = None, remote: Optional[CacheBackend] = None
-    ) -> None:
+    def __init__(self, root: Optional[str] = None) -> None:
         self.root = root if root is not None else default_cache_dir()
-        self._local = LocalDirBackend(self.root)
-        self.remote = remote
-        #: True once any remote operation has failed; the cache then
-        #: runs local-only for the rest of its life (sticky by design:
-        #: a flapping backend must not add a timeout per cell).
-        self.degraded = False
-        #: How many remote operations failed (the ``backend_degraded``
-        #: executor counter is fed from this).
-        self.backend_degraded = 0
-        #: Last remote failure, for provenance and logs.
-        self.degrade_error: Optional[str] = None
-        #: Keys whose remote operations fail on purpose -- the
-        #: ``cache_unavailable`` fault (:mod:`repro.exec.faults`).
-        self._unavailable: Set[str] = set()
-
-    def _result_path(self, key: str) -> str:
-        return self._local.path(key)
 
     def _trace_path(self, key: str) -> str:
         return os.path.join(self.root, "traces", key[:2], key + ".trace")
 
-    # -- remote tier ---------------------------------------------------
-
-    def inject_unavailable(self, keys: Iterable[str]) -> None:
-        """Arm the deterministic ``cache_unavailable`` fault: any remote
-        operation touching one of *keys* fails as if the backend were
-        down (and degrades the cache exactly like a real outage)."""
-        self._unavailable.update(keys)
-
-    def _remote_failed(self, error: str) -> None:
-        self.backend_degraded += 1
-        self.degraded = True
-        self.degrade_error = error
-
-    def _remote_usable(self, key: str) -> bool:
-        if self.remote is None or self.degraded:
-            return False
-        if key in self._unavailable:
-            self._remote_failed("injected cache_unavailable fault")
-            return False
-        return True
-
     # -- results -------------------------------------------------------
+
+    def result_path(self, key: str) -> str:
+        """Where *key*'s result entry lives (the fault harness and tests
+        garble entries in place through it)."""
+        return os.path.join(self.root, "results", key[:2], key + ".json")
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the stored payload dict for *key*, or ``None``."""
@@ -141,58 +98,26 @@ class ResultCache:
         """Return ``(payload, status)`` for *key*.
 
         ``status`` is ``"hit"`` (payload is a dict), ``"miss"`` (no
-        entry), or ``"corrupt"`` (a local entry exists but is torn,
+        entry), or ``"corrupt"`` (an entry exists but is torn,
         unreadable, or not a JSON object).  Corrupt entries are what the
         executor's quarantine path moves aside and re-simulates; for
         plain :meth:`get` callers they are simply a miss.
-
-        Reads are local-first; a local miss consults the remote tier
-        (when configured and healthy) and replicates any hit into the
-        local directory so later reads stay off the network.  A corrupt
-        *remote* entry is treated as a miss -- there is no local file to
-        quarantine, and re-simulation overwrites it.
         """
-        payload, status = self._local.get_entry(key)
-        if status != "miss":
-            return payload, status
-        if not self._remote_usable(key):
-            return None, "miss"
-        assert self.remote is not None
         try:
-            payload, status = self.remote.get_entry(key)
-        except CacheBackendError as exc:
-            self._remote_failed(str(exc))
+            with open(self.result_path(key)) as stream:
+                payload = json.load(stream)
+        except FileNotFoundError:
             return None, "miss"
-        if status == "hit" and payload is not None:
-            self._local.put(key, payload)
-            return payload, "hit"
-        return None, "miss"
-
-    def result_path(self, key: str) -> str:
-        """Where *key*'s local result entry lives (used by the fault
-        harness and tests to garble entries in place)."""
-        return self._result_path(key)
-
-    def stats(self) -> Dict[str, int]:
-        """Entry counts per local store section (``results`` /
-        ``traces`` / ``quarantine`` / ``checkpoints``) -- the sweep
-        service's cache inspection endpoint.  Counting walks the
-        fan-out directories; it is O(entries) and intended for operator
-        queries, not hot paths."""
-        counts: Dict[str, int] = {}
-        for section in ("results", "traces", "quarantine", "checkpoints"):
-            total = 0
-            base = os.path.join(self.root, section)
-            for _, _, files in os.walk(base):
-                total += sum(1 for name in files if not name.endswith(".tmp"))
-            counts[section] = total
-        return counts
+        except (json.JSONDecodeError, OSError):
+            return None, "corrupt"
+        if not isinstance(payload, dict):
+            return None, "corrupt"
+        return payload, "hit"
 
     def quarantine(
         self, key: str, reason: Union[QuarantineReason, str]
     ) -> Optional[str]:
-        """Move *key*'s local result entry aside -- never delete
-        evidence.
+        """Move *key*'s result entry aside -- never delete evidence.
 
         The entry lands in ``quarantine/<aa>/`` with *reason* (a
         :class:`QuarantineReason` or plain string) embedded in the
@@ -203,7 +128,7 @@ class ResultCache:
         # Normalized explicitly: 3.9's %-format renders a str-enum as
         # "QuarantineReason.CORRUPT" rather than its value.
         label = getattr(reason, "value", reason)
-        path = self._result_path(key)
+        path = self.result_path(key)
         if not os.path.exists(path):
             return None
         dest_dir = os.path.join(self.root, "quarantine", key[:2])
@@ -239,20 +164,13 @@ class ResultCache:
         return dest
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Persist *payload* (a JSON-able dict) under *key*.
+        """Persist *payload* (a JSON-able dict) under *key*."""
 
-        The local tier always gets the write (durability); the remote
-        tier is replicated to best-effort, and any failure degrades the
-        cache to local-only rather than surfacing to the sweep.
-        """
-        self._local.put(key, payload)
-        if not self._remote_usable(key):
-            return
-        assert self.remote is not None
-        try:
-            self.remote.put(key, payload)
-        except CacheBackendError as exc:
-            self._remote_failed(str(exc))
+        def write(temp_path: str) -> None:
+            with open(temp_path, "w") as stream:
+                json.dump(payload, stream, sort_keys=True)
+
+        atomic_write(self.result_path(key), write)
 
     # -- traces --------------------------------------------------------
 
@@ -274,10 +192,4 @@ class ResultCache:
         )
 
     def __repr__(self) -> str:
-        if self.remote is not None:
-            return "ResultCache(%r, remote=%s%s)" % (
-                self.root,
-                self.remote.describe(),
-                " [degraded]" if self.degraded else "",
-            )
         return "ResultCache(%r)" % self.root

@@ -25,9 +25,8 @@ nothing that completed.  Failing cells are retried per the
 worker; crashed and heartbeat-stalled workers are respawned and their
 claims requeued; a cell that kills several workers in a row is
 quarantined as a poison cell); corrupt or schema-stale cache entries
-are quarantined -- moved aside, never deleted -- and re-simulated; a
-failing remote cache backend degrades to the local tier; and with
-``allow_partial`` a cell that exhausts its retries degrades to an
+are quarantined -- moved aside, never deleted -- and re-simulated; and
+with ``allow_partial`` a cell that exhausts its retries degrades to an
 explicitly-marked missing payload (recorded in
 :attr:`ExperimentExecutor.failed_cells`) instead of aborting the
 campaign.
@@ -38,7 +37,6 @@ retries, and resumption cannot leak into results -- an interrupted,
 resumed, parallel run is bit-identical to a serial uncached one.
 """
 
-import contextlib
 import os
 
 from typing import Optional, Union
@@ -151,8 +149,7 @@ class ExperimentExecutor:
         #: (``stalls`` heartbeat-deadline kills, ``steals`` cells
         #: claimed by a non-home worker, ``workers_spawned`` /
         #: ``workers_respawned`` pool lifecycle, ``poison_cells``
-        #: quarantined worker-killers, ``backend_degraded`` failed
-        #: remote-cache operations).
+        #: quarantined worker-killers).
         self.counters = {
             "simulated": 0,
             "cache_hits": 0,
@@ -167,7 +164,6 @@ class ExperimentExecutor:
             "workers_spawned": 0,
             "workers_respawned": 0,
             "poison_cells": 0,
-            "backend_degraded": 0,
             "quarantined": 0,
             "failed": 0,
             "inline_batches": 0,
@@ -177,45 +173,6 @@ class ExperimentExecutor:
         #: ``invariant-violation`` / ``poison-cell``), surfaced by
         #: :meth:`summary` and the report's provenance section.
         self.quarantine_reasons = {}
-
-    # ------------------------------------------------------------------
-    # Job scoping -- the hooks the sweep service builds on.  One
-    # long-lived executor serves many submitted jobs back to back; these
-    # let each job carry its own telemetry log and option overrides and
-    # report per-job counter deltas, while the memo, cache, and
-    # cumulative counters stay shared (that sharing is the whole point:
-    # a warm cell is warm for every client).
-
-    def counters_snapshot(self):
-        """A copy of the cumulative counters, for later delta-ing."""
-        return dict(self.counters)
-
-    def counters_since(self, snapshot):
-        """Per-counter deltas since a :meth:`counters_snapshot`."""
-        return {
-            name: value - snapshot.get(name, 0)
-            for name, value in self.counters.items()
-        }
-
-    @contextlib.contextmanager
-    def job_scope(self, telemetry=None, resilience=None, resume=None):
-        """Temporarily override per-job knobs; restores them on exit.
-
-        ``None`` keeps the executor's current value.  Callers must not
-        overlap scopes -- the sweep service serializes jobs around the
-        shared executor precisely so this swap is race-free.
-        """
-        saved = (self.telemetry, self.resilience, self.resume)
-        if telemetry is not None:
-            self.telemetry = telemetry
-        if resilience is not None:
-            self.resilience = resilience
-        if resume is not None:
-            self.resume = resume
-        try:
-            yield self
-        finally:
-            self.telemetry, self.resilience, self.resume = saved
 
     # ------------------------------------------------------------------
 
@@ -237,8 +194,6 @@ class ExperimentExecutor:
 
         plan = self._materialize_faults(unique)
         self._inject_corruption(plan)
-        if plan is not None and plan.cache_unavailable and self.cache is not None:
-            self.cache.inject_unavailable(plan.cache_unavailable)
 
         checkpoint = None
         prior_done = set()
@@ -264,7 +219,6 @@ class ExperimentExecutor:
         finally:
             if checkpoint is not None:
                 checkpoint.close()
-            self._sync_backend_degraded()
             if self.telemetry is not None:
                 self.telemetry.batch_finish(self.counters)
 
@@ -444,23 +398,6 @@ class ExperimentExecutor:
 
     # ------------------------------------------------------------------
 
-    def _sync_backend_degraded(self):
-        """Fold the cache's remote-failure tally into the counters (and
-        telemetry) once per batch."""
-        if self.cache is None:
-            return
-        delta = self.cache.backend_degraded - self.counters["backend_degraded"]
-        if delta <= 0:
-            return
-        self.counters["backend_degraded"] += delta
-        if self.telemetry is not None:
-            remote = self.cache.remote
-            self.telemetry.backend_degraded(
-                remote.describe() if remote is not None else "(injected)",
-                delta,
-                self.cache.degrade_error or "",
-            )
-
     def _materialize_faults(self, unique):
         """Resolve ``self.faults`` to a concrete plan for this batch."""
         if self.faults is None:
@@ -512,7 +449,6 @@ class ExperimentExecutor:
                 ("workers_respawned", "respawned"),
                 ("steals", "stolen"),
                 ("poison_cells", "poison"),
-                ("backend_degraded", "backend ops degraded"),
             )
             if self.counters[name]
         ]

@@ -8,9 +8,8 @@ crashes.  This module provides that schedule:
   cell key and attempt number: kill the worker (``os._exit``), delay the
   cell (to trip timeouts), raise an injected exception, corrupt a cache
   entry, stall a pool worker's heartbeat (to trip the supervisor's
-  liveness deadline), take the remote cache backend down for a cell, or
-  abort the whole sweep after N completed cells (a deterministic
-  stand-in for ``kill -9`` mid-run).
+  liveness deadline), or abort the whole sweep after N completed cells
+  (a deterministic stand-in for ``kill -9`` mid-run).
 * :class:`FaultSpec` -- a rate-based description (``kill=0.3``) that
   materialises into a :class:`FaultPlan` once the batch's cell keys are
   known.  Selection draws from :class:`~repro.common.rng.DeterministicRng`
@@ -51,12 +50,9 @@ class FaultPlan:
     key to attempts on which the executing pool worker suppresses its
     heartbeats and sleeps ``stall_seconds`` -- a deterministic hung
     worker, recovered by the supervisor's heartbeat deadline.
-    ``cache_unavailable`` lists cell keys whose remote cache-backend
-    operations fail as if the server were down (the cache degrades to
-    its local tier, exactly like a real outage).  ``abort_after``
-    aborts the sweep (raising ``SweepAborted`` in the scheduler) once
-    that many cells have completed -- the deterministic "killed
-    mid-run" fault.
+    ``abort_after`` aborts the sweep (raising ``SweepAborted`` in the
+    scheduler) once that many cells have completed -- the deterministic
+    "killed mid-run" fault.
     """
 
     kill: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
@@ -65,7 +61,6 @@ class FaultPlan:
     corrupt: Tuple[str, ...] = ()
     stall: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
     stall_seconds: float = 30.0
-    cache_unavailable: Tuple[str, ...] = ()
     abort_after: Optional[int] = None
 
     def has_kills(self) -> bool:
@@ -122,9 +117,7 @@ class FaultSpec:
     calls :meth:`materialize` once the batch's cell keys are known.
     Rates are per-cell probabilities; every injected
     kill/fail/delay/stall fires on attempt 0 only, so a policy with at
-    least one retry always recovers (``cache_unavailable`` has no
-    attempt axis: it marks the cell's backend operations failed for the
-    whole run).
+    least one retry always recovers.
     """
 
     seed: int = 0
@@ -135,7 +128,6 @@ class FaultSpec:
     corrupt_rate: float = 0.0
     stall_rate: float = 0.0
     stall_seconds: float = 30.0
-    cache_unavailable_rate: float = 0.0
     abort_after: Optional[int] = None
 
     #: ``--faults`` field names -> FaultSpec attributes.  ``worker_kill``
@@ -156,8 +148,6 @@ class FaultSpec:
         "heartbeat-stall": "stall_rate",
         "stall-seconds": "stall_seconds",
         "stall_seconds": "stall_seconds",
-        "cache_unavailable": "cache_unavailable_rate",
-        "cache-unavailable": "cache_unavailable_rate",
         "abort-after": "abort_after",
         "abort_after": "abort_after",
     }
@@ -196,7 +186,6 @@ class FaultSpec:
         delay: Dict[str, Tuple[Tuple[int, float], ...]] = {}
         corrupt: List[str] = []
         stall: Dict[str, Tuple[int, ...]] = {}
-        cache_unavailable: List[str] = []
         for key in sorted(keys):
             rng = DeterministicRng(self.seed, "exec.faults/%s" % key)
             if rng.random() < self.kill_rate:
@@ -209,8 +198,6 @@ class FaultSpec:
                 corrupt.append(key)
             if rng.random() < self.stall_rate:
                 stall[key] = (0,)
-            if rng.random() < self.cache_unavailable_rate:
-                cache_unavailable.append(key)
         return FaultPlan(
             kill=kill,
             fail=fail,
@@ -218,6 +205,5 @@ class FaultSpec:
             corrupt=tuple(corrupt),
             stall=stall,
             stall_seconds=self.stall_seconds,
-            cache_unavailable=tuple(cache_unavailable),
             abort_after=self.abort_after,
         )

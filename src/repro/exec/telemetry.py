@@ -49,17 +49,6 @@ class TelemetryLog:
         self._stream.flush()
         self.events_written += 1
 
-    def emit(self, event: str, fields: Optional[Dict[str, Any]] = None) -> None:
-        """Append one caller-defined event (same envelope as the
-        executor's own: ``schema``, ``event``, wall-clock ``t``).
-
-        This is the extension point for layers above the executor --
-        the sweep service brackets each job's executor events with
-        ``job_started`` / ``job_finished`` records in the same stream,
-        so one JSONL file tells a job's whole story in order.
-        """
-        self._emit(event, dict(fields) if fields else {})
-
     # -- batch lifecycle ------------------------------------------------
 
     def batch_start(self, cells: int, unique: int) -> None:
@@ -108,14 +97,6 @@ class TelemetryLog:
         if info:
             fields["info"] = str(info)
         self._emit("worker", fields)
-
-    def backend_degraded(self, backend: str, failures: int, error: str) -> None:
-        """The remote cache backend failed *failures* operation(s) and
-        the cache degraded to its local tier."""
-        self._emit(
-            "backend_degraded",
-            {"backend": backend, "failures": failures, "error": error},
-        )
 
     # -------------------------------------------------------------------
 

@@ -76,18 +76,6 @@ def executor_provenance(executor: Any) -> List[Tuple[str, str]]:
     ]
     if pool:
         rows.append(("pool", ", ".join(pool)))
-    cache = getattr(executor, "cache", None)
-    remote = getattr(cache, "remote", None)
-    if remote is not None or counters.get("backend_degraded", 0):
-        backend = remote.describe() if remote is not None else "(injected outage)"
-        detail = backend
-        degraded = counters.get("backend_degraded", 0)
-        if degraded:
-            detail += "; %d ops degraded to local tier" % degraded
-            reason = getattr(cache, "degrade_error", None)
-            if reason:
-                detail += " (%s)" % reason
-        rows.append(("cache-backend", detail))
     modes = [
         "%d %s" % (counters.get(name, 0), label)
         for name, label in (

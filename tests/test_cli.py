@@ -196,6 +196,65 @@ def test_experiment_unknown_figure():
     code, output = run_cli("experiment", "fig99")
     assert code == 2
     assert "unknown figure" in output
+    assert "fig01" in output and "ablation_prefetch_latency" in output
+
+
+def test_experiment_runs_ablation_drivers():
+    code, output = run_cli(
+        "experiment", "ablation_prefetch_latency",
+        "--workloads", "xsbench", "--length", "300", "--no-cache",
+    )
+    assert code == 0
+    assert "== ablation_prefetch_latency ==" in output
+
+
+def test_single_workload_ablation_rejects_two_workloads(tmp_path):
+    code, output = run_cli(
+        "experiment", "ablation_prefetch_latency",
+        "--workloads", "xsbench", "mcf", "--cache-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert "exactly one" in output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "nope"],
+        ["trace", "nope", "-o", "OUT"],
+        ["experiment", "fig01", "--workloads", "nope"],
+        ["experiment", "fig01", "--workloads", "xsbench", "--length", "0"],
+        ["experiment", "fig01", "--workloads", "xsbench", "--length", "-5"],
+        ["experiment", "fig01", "--workloads", "xsbench", "--length", "ten"],
+        ["run", "xsbench", "--length", "0"],
+        ["trace", "xsbench", "-o", "OUT", "--length", "0"],
+        ["verify", "--length", "0"],
+        ["experiment", "fig01", "--workloads", "xsbench", "--cell-timeout", "0"],
+        ["experiment", "fig01", "--workloads", "xsbench", "--max-retries", "-2"],
+        ["experiment", "fig01", "--workloads", "xsbench", "--check-invariants", "always"],
+    ],
+    ids="_".join,
+)
+def test_bad_input_is_a_usage_error_before_anything_runs(argv, tmp_path, capsys):
+    argv = [str(tmp_path / "out.trace") if arg == "OUT" else arg for arg in argv]
+    if argv[0] == "experiment":
+        argv = argv + ["--cache-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == 2
+    assert "usage: repro %s" % argv[0] in capsys.readouterr().err
+    # Nothing was simulated, cached or written.
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_workload_error_names_the_known_workloads(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("run", "nope")
+    err = capsys.readouterr().err
+    assert "'nope'" in err
+    for name in ("xsbench", "mcf", "bzip2_small", "kvstore"):
+        assert name in err
 
 
 def test_parser_requires_command():

@@ -8,22 +8,15 @@ README.md and ``docs/*.md``, finds each ``repro`` invocation (either
 the real argument parser that the subcommand exists and every ``--flag``
 is accepted by that subcommand.  Renaming a CLI flag without updating
 the docs fails CI here.
-
-The sweep service gets the same treatment in both directions: every
-``curl`` example in ``docs/service.md`` must resolve (method + path)
-against the service's real route table, and every route in that table
-must appear in the page's endpoint reference.
 """
 
 import os
 import re
 import shlex
-import urllib.parse
 
 import argparse
 
 from repro.cli import build_parser
-from repro.service.app import ROUTES, match_route
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -116,67 +109,6 @@ def test_every_documented_cli_invocation_is_real():
     # The gate must actually be biting: the README and docs pages carry
     # well over this many repro invocations between them.
     assert checked >= 10, "only %d repro invocations found in docs" % checked
-
-
-def _http_examples(text):
-    """``(method, path, command)`` for every documented curl call."""
-    for command in _command_lines(text):
-        try:
-            tokens = shlex.split(command, comments=True)
-        except ValueError:
-            continue
-        if not tokens or tokens[0] != "curl":
-            continue
-        method, path = "GET", None
-        expect_method = False
-        for token in tokens[1:]:
-            if expect_method:
-                method, expect_method = token.upper(), False
-            elif token in ("-X", "--request"):
-                expect_method = True
-            elif token.startswith(("http://", "https://")):
-                path = urllib.parse.urlsplit(token).path
-        if path is not None:
-            yield method, path, command
-
-
-def test_every_documented_curl_example_hits_a_real_route():
-    """Method + path of each documented curl example resolves against
-    the service's route table (concrete job ids match the ``{id}``
-    placeholder, exactly as the live dispatcher matches them)."""
-    checked = 0
-    for doc_path in _doc_paths():
-        with open(doc_path) as stream:
-            text = stream.read()
-        source = os.path.relpath(doc_path, REPO_ROOT)
-        for method, path, command in _http_examples(text):
-            route, _, allowed = match_route(method, path)
-            assert route is not None, (
-                "%s documents `%s` but %s %s matches no route%s"
-                % (
-                    source,
-                    command,
-                    method,
-                    path,
-                    " (method should be one of: %s)" % ", ".join(allowed)
-                    if allowed
-                    else "",
-                )
-            )
-            checked += 1
-    # docs/service.md's worked session alone carries more than this.
-    assert checked >= 6, "only %d curl examples found in docs" % checked
-
-
-def test_every_service_route_is_documented():
-    """The endpoint reference in docs/service.md names every route."""
-    with open(os.path.join(REPO_ROOT, "docs", "service.md")) as stream:
-        text = stream.read()
-    for route in ROUTES:
-        needle = "`%s %s`" % (route.method, route.pattern)
-        assert needle in text, (
-            "docs/service.md endpoint reference is missing %s" % needle
-        )
 
 
 def test_documented_relative_links_resolve():

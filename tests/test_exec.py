@@ -242,7 +242,7 @@ def test_stale_schema_entry_not_reused(tmp_path):
     cell = SimCell("xsbench", default_system_config(), LENGTH)
     expected = ExperimentExecutor(cache=cache).run_cell(cell)
 
-    path = cache._result_path(cell.key())
+    path = cache.result_path(cell.key())
     with open(path) as stream:
         payload = json.load(stream)
     payload["schema"] = PAYLOAD_SCHEMA + 1
@@ -258,7 +258,7 @@ def test_stale_schema_entry_not_reused(tmp_path):
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     cache = ResultCache(str(tmp_path))
     cell = SimCell("xsbench", default_system_config(), LENGTH)
-    path = cache._result_path(cell.key())
+    path = cache.result_path(cell.key())
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as stream:
         stream.write("{ torn write")

@@ -1,10 +1,10 @@
-"""Chaos tests for the supervised worker-pool fabric and the pluggable
-cache backend (docs/distribution.md).
+"""Chaos tests for the supervised worker-pool fabric
+(docs/distribution.md).
 
 The contract under test is bit-identity: cells are pure functions of
-their identity, so a pooled sweep riddled with injected worker kills,
-heartbeat stalls, and cache outages must produce results identical to a
-fault-free serial run -- the faults may only show up in the counters.
+their identity, so a pooled sweep riddled with injected worker kills
+and heartbeat stalls must produce results identical to a fault-free
+serial run -- the faults may only show up in the counters.
 
 Layers, cheapest first:
 
@@ -13,10 +13,7 @@ Layers, cheapest first:
 * the poison-cell guard: a cell that kills consecutive workers is
   quarantined with evidence instead of grinding the pool down;
 * supervisor death: SIGKILL the whole ``repro experiment`` process
-  mid-sweep, then ``--resume`` and require zero lost work;
-* the cache-backend tier: HTTP round-trip against a live ``repro
-  serve``, graceful local degradation on outage, and the deterministic
-  ``cache_unavailable`` fault.
+  mid-sweep, then ``--resume`` and require zero lost work.
 """
 
 import json
@@ -24,7 +21,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -34,13 +30,11 @@ from repro.exec import (
     ExperimentExecutor,
     FaultPlan,
     FaultSpec,
-    HTTPBackend,
     PoolConfig,
     ResiliencePolicy,
     ResultCache,
     TelemetryLog,
 )
-from repro.exec.backend import CacheBackendError
 from repro.exec.cells import SimCell
 from repro.exec.serialize import result_to_payload
 
@@ -306,122 +300,3 @@ def test_pool_abort_then_resume_recovers_without_resimulation(tmp_path):
 
     serial = ExperimentExecutor(workers=1)
     assert results == [_comparable(r) for r in serial.run_cells(cells)]
-
-
-# ---------------------------------------------------------------------------
-# cache backend: live round-trip, outage degradation, injected outage
-
-
-@pytest.fixture(scope="module")
-def cache_server(tmp_path_factory):
-    """One live sweep service for backend round-trips."""
-    from repro.service import build_service
-    from repro.service.client import ServiceClient
-
-    cache_dir = str(tmp_path_factory.mktemp("backend-cache"))
-    service = build_service(cache_dir=cache_dir)
-    ready = threading.Event()
-    thread = threading.Thread(
-        target=service.run,
-        args=("127.0.0.1", 0),
-        kwargs={"announce": lambda host, port: ready.set()},
-    )
-    thread.start()
-    assert ready.wait(timeout=30), "server never announced its port"
-    yield ServiceClient("127.0.0.1", service.port), service, cache_dir
-    service.shutdown()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-
-
-def test_http_backend_round_trip_against_live_service(cache_server, tmp_path):
-    client, service, _ = cache_server
-    key = "ab" * 32
-    payload = {"schema": 2, "stats": {"answer": 42}}
-
-    backend = HTTPBackend("127.0.0.1:%d" % service.port)
-    assert backend.get_entry(key) == (None, "miss")
-    backend.put(key, payload)
-    assert backend.get_entry(key) == (payload, "hit")
-
-    # The typed client speaks the same route pair.
-    assert client.cache_get("cd" * 32) is None
-    client.cache_put("cd" * 32, payload)
-    assert client.cache_get("cd" * 32) == payload
-
-    # A local cache with this remote fills misses over HTTP and
-    # replicates the hit into its local tier.
-    cache = ResultCache(str(tmp_path / "tier"), remote=backend)
-    got, status = cache.get_entry(key)
-    assert (got, status) == (payload, "hit")
-    assert not cache.degraded
-    local_only = ResultCache(str(tmp_path / "tier"))
-    assert local_only.get(key) == payload
-
-
-def test_cache_key_validation_guards_the_route(cache_server):
-    from repro.service.client import ServiceError
-
-    client, _, _ = cache_server
-    # Traversal cannot even address the route (multi-segment -> 404,
-    # which the client reports as a miss); single-segment non-keys are
-    # rejected by the 64-hex validation before touching the filesystem.
-    assert client.cache_get("../../etc/passwd") is None
-    with pytest.raises(ServiceError) as excinfo:
-        client.cache_get("passwd")
-    assert excinfo.value.status == 400
-    with pytest.raises(ServiceError) as excinfo:
-        client.cache_put("AB" * 32, {"schema": 2})
-    assert excinfo.value.status == 400
-
-
-def test_http_backend_outage_degrades_to_local(tmp_path):
-    dead = HTTPBackend(
-        "127.0.0.1:9", timeout=0.2, retries=0, backoff_seconds=0.0
-    )
-    with pytest.raises(CacheBackendError):
-        dead.get_entry("ab" * 32)
-
-    cells = _cells(length=400, workloads=("xsbench", "mcf"))
-    telemetry_path = str(tmp_path / "outage.jsonl")
-    executor = ExperimentExecutor(
-        workers=1,
-        cache=ResultCache(str(tmp_path / "cache"), remote=dead),
-        telemetry=TelemetryLog(telemetry_path),
-    )
-    results = executor.run_cells(cells)
-    executor.telemetry.close()
-
-    # The sweep is unharmed; the first remote failure degraded the
-    # cache to its local tier for the rest of the run (sticky).
-    assert len(results) == len(cells)
-    assert executor.cache.degraded
-    assert executor.counters["backend_degraded"] >= 1
-    assert "backend ops degraded" in executor.summary()
-    events = [json.loads(line) for line in open(telemetry_path)]
-    degraded = [e for e in events if e["event"] == "backend_degraded"]
-    assert degraded and degraded[0]["backend"] == "http://127.0.0.1:9"
-
-    # Every result landed locally despite the dead remote.
-    local = ResultCache(str(tmp_path / "cache"))
-    for cell in cells:
-        assert local.get(cell.key()) is not None
-
-
-def test_cache_unavailable_fault_degrades_without_a_server(tmp_path):
-    cells = _cells(length=400, workloads=("xsbench", "mcf"))
-    # The remote would fail if ever touched; the injected fault must
-    # fire first, so the port is never dialled.
-    executor = ExperimentExecutor(
-        workers=1,
-        cache=ResultCache(
-            str(tmp_path),
-            remote=HTTPBackend("127.0.0.1:9", timeout=0.2, retries=0),
-        ),
-        faults=FaultSpec.parse("seed=0,cache_unavailable=1.0"),
-    )
-    results = executor.run_cells(cells)
-    assert len(results) == len(cells)
-    assert executor.cache.degraded
-    assert executor.cache.degrade_error == "injected cache_unavailable fault"
-    assert executor.counters["backend_degraded"] >= 1

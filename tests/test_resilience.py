@@ -256,15 +256,19 @@ def test_fault_plan_corruption_feeds_quarantine(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_kill_at_checkpoint_then_resume_is_bit_identical(tmp_path, clean_results):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kill_at_checkpoint_then_resume_is_bit_identical(
+    tmp_path, clean_results, workers
+):
     """The acceptance scenario: a sweep aborted mid-run and resumed must
-    produce bit-identical results with zero re-simulated cells."""
+    produce bit-identical results with zero re-simulated cells -- on the
+    in-process path (one worker) and on the pool alike."""
     cache_root = str(tmp_path)
     cells = _cells()
     keys = [cell.key() for cell in cells]
 
     aborted = ExperimentExecutor(
-        workers=2, cache=ResultCache(cache_root), faults=FaultPlan(abort_after=2)
+        workers=workers, cache=ResultCache(cache_root), faults=FaultPlan(abort_after=2)
     )
     with pytest.raises(SweepAborted):
         aborted.run_cells(cells)
@@ -272,7 +276,9 @@ def test_kill_at_checkpoint_then_resume_is_bit_identical(tmp_path, clean_results
     journal = CheckpointStore.for_batch(cache_root, keys)
     assert len(journal.done_keys()) == 2
 
-    resumed = ExperimentExecutor(workers=2, cache=ResultCache(cache_root), resume=True)
+    resumed = ExperimentExecutor(
+        workers=workers, cache=ResultCache(cache_root), resume=True
+    )
     results = resumed.run_cells(cells)
     # Zero re-simulation of completed cells: 2 resumed from the journal,
     # only the 2 interrupted ones simulated.
