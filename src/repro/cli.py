@@ -407,31 +407,22 @@ def _cmd_verify(args, out):
 
 
 def _cmd_lint(args, out):
-    from pathlib import Path
-
     from repro.lint import (
         ALL_RULES,
-        LintConfig,
         lint_paths,
-        load_pyproject_config,
         render_json,
         render_rules,
         render_text,
     )
-    from repro.lint.sarif import render_sarif
-    from repro.lint.whole_program import (
-        Baseline,
-        BaselineError,
-        build_whole_program_rules,
-    )
+    from repro.lint.engine import discover_files
+    from repro.lint.whole_program import build_whole_program_rules
 
     # Whole-program analysis is the default for the project tree (bare
     # ``repro lint``); explicit paths opt in with --whole-program.
     whole_program = args.whole_program or not args.paths
     rules = list(ALL_RULES)
     if whole_program:
-        cache_path = Path(args.summary_cache) if args.summary_cache else None
-        rules.extend(build_whole_program_rules(cache_path))
+        rules.extend(build_whole_program_rules())
 
     if args.list_rules:
         render_rules(out, rules=rules)
@@ -449,46 +440,18 @@ def _cmd_lint(args, out):
     if missing:
         out.write("no such path(s): %s\n" % ", ".join(missing))
         return 2
+    # A gate pointed at a tree without Python files must not pass.
+    files = discover_files(paths)
+    if not files:
+        out.write("no Python files under: %s\n" % ", ".join(paths))
+        return 2
 
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(Path(args.baseline))
-        except BaselineError as exc:
-            out.write("error: %s\n" % exc)
-            return 2
-
-    config = load_pyproject_config(paths[0])
-    if args.disable:
-        config = LintConfig(
-            disabled=set(config.disabled) | set(args.disable),
-            per_file_ignores=config.per_file_ignores,
-        )
-    findings = lint_paths(paths, config=config, rules=rules)
-
-    if args.write_baseline:
-        Baseline.from_findings(findings).dump(Path(args.write_baseline))
-        out.write(
-            "wrote %d baseline entr%s to %s\n"
-            % (
-                len(findings),
-                "y" if len(findings) == 1 else "ies",
-                args.write_baseline,
-            )
-        )
-        return 0
-
-    suppressed = 0
-    if baseline is not None:
-        findings, suppressed = baseline.filter(findings)
+    rules = [rule for rule in rules if rule.rule_id not in args.disable]
+    findings = lint_paths(files, rules=rules)
     if args.format == "json":
         render_json(findings, out)
-    elif args.format == "sarif":
-        render_sarif(findings, out, rules=rules)
     else:
         render_text(findings, out)
-        if suppressed:
-            out.write("simlint: %d finding(s) suppressed by baseline\n" % suppressed)
     return 1 if findings else 0
 
 
@@ -767,7 +730,7 @@ def build_parser():
     )
     lint_parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format",
     )
@@ -787,24 +750,6 @@ def build_parser():
         help=(
             "add the interprocedural rules SL010-SL014 (call-graph "
             "analysis; default when no paths are given)"
-        ),
-    )
-    lint_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file; new findings still fail",
-    )
-    lint_parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record current findings as the baseline and exit 0",
-    )
-    lint_parser.add_argument(
-        "--summary-cache",
-        metavar="FILE",
-        help=(
-            "persist per-module analysis summaries keyed by content hash "
-            "so warm whole-program runs only re-analyse changed files"
         ),
     )
     return parser

@@ -128,7 +128,7 @@ class StatGroup:
         if found is None:
             found = self._pending_counters.pop(name, None)
             if found is None:
-                found = Counter(name)  # simlint: disable=SL004 (the factory itself)
+                found = Counter(name)
             self._counters[name] = found
         return found
 
@@ -139,7 +139,7 @@ class StatGroup:
         if found is None:
             found = self._pending_histograms.pop(name, None)
             if found is None:
-                found = Histogram(name)  # simlint: disable=SL004 (the factory itself)
+                found = Histogram(name)
             self._histograms[name] = found
         return found
 
@@ -156,7 +156,7 @@ class StatGroup:
         if found is None:
             found = self._pending_counters.get(name)
             if found is None:
-                found = Counter(name)  # simlint: disable=SL004 (the factory itself)
+                found = Counter(name)
                 self._pending_counters[name] = found
         return found
 
@@ -167,7 +167,7 @@ class StatGroup:
         if found is None:
             found = self._pending_histograms.get(name)
             if found is None:
-                found = Histogram(name)  # simlint: disable=SL004 (the factory itself)
+                found = Histogram(name)
                 self._pending_histograms[name] = found
         return found
 

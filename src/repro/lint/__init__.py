@@ -5,7 +5,8 @@ runtime test can economically enforce -- determinism of timing-critical
 code, completeness of the content-addressed cache key, coverage of the
 serialized payload schema.  This package checks them statically:
 ``repro lint src/repro`` (or :func:`lint_paths` programmatically) runs
-~8 simulator-specific rules, each with a stable ID, a severity, and a
+14 simulator-specific rules -- nine per-file (SL001-SL009) and five
+whole-program (SL010-SL014) -- each with a stable ID, a severity, and a
 fix-it message.  ``docs/static_analysis.md`` documents every rule.
 """
 
@@ -13,10 +14,8 @@ from __future__ import annotations
 
 from repro.lint.base import Finding, Module, Rule
 from repro.lint.engine import (
-    LintConfig,
     lint_modules,
     lint_paths,
-    load_pyproject_config,
     render_json,
     render_rules,
     render_text,
@@ -28,12 +27,10 @@ __all__ = [
     "RULES_BY_ID",
     "TIMING_CRITICAL_PACKAGES",
     "Finding",
-    "LintConfig",
     "Module",
     "Rule",
     "lint_modules",
     "lint_paths",
-    "load_pyproject_config",
     "render_json",
     "render_rules",
     "render_text",

@@ -8,14 +8,8 @@ Suppression, narrowest to widest:
 * inline pragma on the offending line --
   ``# simlint: disable=SL001,SL007`` (or a bare ``# simlint: disable``
   for every rule);
-* per-file ignores in ``pyproject.toml`` under
-  ``[tool.simlint.per-file-ignores]``;
-* rule-wide ``--disable SLnnn`` on the command line or ``disable`` in
-  ``[tool.simlint]``.
-
-The pyproject config is parsed with :mod:`tomllib` when the interpreter
-ships it (3.11+); on older interpreters configuration silently falls
-back to the built-in defaults, which lint exactly as CI does.
+* rule-wide ``--disable SLnnn`` on the command line, which drops the
+  rule from the list passed as *rules*.
 """
 
 from __future__ import annotations
@@ -24,65 +18,12 @@ import ast
 import json
 import os
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import List, Optional, Sequence, TextIO
 
 from repro.lint.base import Finding, Module, Rule
 from repro.lint.rules import ALL_RULES
 
 _PRAGMA = re.compile(r"#\s*simlint:\s*disable(?:=(?P<rules>[A-Z0-9,\s]+))?")
-
-
-class LintConfig:
-    """Effective configuration: disabled rules + per-file ignores."""
-
-    def __init__(
-        self,
-        disabled: Iterable[str] = (),
-        per_file_ignores: Optional[Dict[str, List[str]]] = None,
-    ) -> None:
-        self.disabled = frozenset(disabled)
-        #: ``{path glob-free suffix: [rule ids]}`` -- a finding is
-        #: dropped when its path ends with the key.
-        self.per_file_ignores = dict(per_file_ignores or {})
-
-    def is_ignored(self, finding: Finding) -> bool:
-        if finding.rule_id in self.disabled:
-            return True
-        normalized = finding.path.replace(os.sep, "/")
-        for suffix, rules in self.per_file_ignores.items():
-            if normalized.endswith(suffix) and finding.rule_id in rules:
-                return True
-        return False
-
-
-def load_pyproject_config(start: str = ".") -> LintConfig:
-    """Read ``[tool.simlint]`` from the nearest ``pyproject.toml`` at or
-    above *start*; defaults when absent or unparsable."""
-    try:
-        import tomllib  # Python 3.11+
-    except ImportError:
-        return LintConfig()
-    directory = os.path.abspath(start)
-    while True:
-        candidate = os.path.join(directory, "pyproject.toml")
-        if os.path.isfile(candidate):
-            try:
-                with open(candidate, "rb") as stream:
-                    data = tomllib.load(stream)
-            except (OSError, tomllib.TOMLDecodeError):
-                return LintConfig()
-            section = data.get("tool", {}).get("simlint", {})
-            return LintConfig(
-                disabled=section.get("disable", ()),
-                per_file_ignores=section.get("per-file-ignores", {}),
-            )
-        parent = os.path.dirname(directory)
-        if parent == directory:
-            return LintConfig()
-        directory = parent
-
-
-# ----------------------------------------------------------------------
 
 
 def discover_files(paths: Sequence[str]) -> List[str]:
@@ -151,19 +92,12 @@ def _suppressed_inline(finding: Finding, module: Module) -> bool:
 
 def lint_modules(
     modules: Sequence[Module],
-    config: Optional[LintConfig] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Run every (enabled) rule over the parsed *modules*."""
-    config = config if config is not None else LintConfig()
-    active = [
-        rule
-        for rule in (rules if rules is not None else ALL_RULES)
-        if rule.rule_id not in config.disabled
-    ]
+    """Run *rules* (default: ``ALL_RULES``) over the parsed *modules*."""
     by_path = {module.path: module for module in modules}
     findings: List[Finding] = []
-    for rule in active:
+    for rule in rules if rules is not None else ALL_RULES:
         for module in modules:
             findings.extend(rule.check_module(module))
         findings.extend(rule.check_project(modules))
@@ -172,8 +106,6 @@ def lint_modules(
         module = by_path.get(finding.path)
         if module is not None and _suppressed_inline(finding, module):
             continue
-        if config.is_ignored(finding):
-            continue
         kept.append(finding)
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return kept
@@ -181,7 +113,6 @@ def lint_modules(
 
 def lint_paths(
     paths: Sequence[str],
-    config: Optional[LintConfig] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
     """Discover, parse and lint *paths*; the one-call API."""
@@ -190,7 +121,7 @@ def lint_paths(
         module = parse_module(path)
         if module is not None:
             modules.append(module)
-    return lint_modules(modules, config=config, rules=rules)
+    return lint_modules(modules, rules=rules)
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,7 @@ that view:
 
 * :mod:`~repro.lint.whole_program.summaries` -- per-module extraction of
   function def/use summaries (calls, impurity facts, global writes,
-  raise sites, worker spawns, stat registrations).  Serializable, so
-  :mod:`~repro.lint.whole_program.cache` can key them by file content
-  hash and make warm runs incremental.
+  raise sites, worker spawns, stat registrations).
 * :mod:`~repro.lint.whole_program.graph` -- the project index: import
   resolution, class hierarchy, instance-attribute types, and the
   resolved call graph (conservative on dynamic dispatch: an
@@ -19,10 +17,7 @@ that view:
   that name).
 * :mod:`~repro.lint.whole_program.rules` -- the interprocedural rules
   SL010-SL014, each a normal :class:`~repro.lint.base.Rule` so they
-  compose with the v1 engine, suppression layers, and renderers.
-* :mod:`~repro.lint.whole_program.baseline` -- the staged-adoption
-  baseline file (``--baseline``): known findings are filtered, new ones
-  still fail.
+  compose with the v1 engine, suppression, and renderers.
 
 ``repro lint --whole-program`` runs these on top of the v1 rules; see
 ``docs/static_analysis.md``.
@@ -30,12 +25,6 @@ that view:
 
 from __future__ import annotations
 
-from repro.lint.whole_program.baseline import (
-    Baseline,
-    BaselineError,
-    finding_fingerprint,
-)
-from repro.lint.whole_program.cache import SummaryCache
 from repro.lint.whole_program.graph import ProjectIndex
 from repro.lint.whole_program.rules import (
     WHOLE_PROGRAM_RULE_CLASSES,
@@ -44,13 +33,9 @@ from repro.lint.whole_program.rules import (
 from repro.lint.whole_program.summaries import ModuleSummary, extract_summary
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "ModuleSummary",
     "ProjectIndex",
-    "SummaryCache",
     "WHOLE_PROGRAM_RULE_CLASSES",
     "build_whole_program_rules",
     "extract_summary",
-    "finding_fingerprint",
 ]

@@ -102,7 +102,6 @@ class Resolution:
 
     callees: Set[str] = field(default_factory=set)
     instantiated: Set[str] = field(default_factory=set)  # class ids
-    used_fallback: bool = False
     resolved: bool = False  # any concrete target found
 
 
@@ -608,9 +607,7 @@ class ProjectIndex:
                     resolution.resolved = True
         if not resolution.resolved and final_name not in FALLBACK_EXCLUDED:
             # Conservative dynamic-dispatch fan-out by method name.
-            for target in self.methods_by_name.get(final_name, []):
-                resolution.callees.add(target)
-                resolution.used_fallback = True
+            resolution.callees.update(self.methods_by_name.get(final_name, []))
         return resolution
 
     def callable_targets(self, fid: str, desc: ValueDesc) -> Set[str]:

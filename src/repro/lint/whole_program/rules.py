@@ -1,24 +1,22 @@
 """Interprocedural rules SL010-SL014.
 
 Each rule is a normal :class:`repro.lint.base.Rule` implementing
-``check_project``, so the v1 engine, pragma suppression, per-file
-ignores, and renderers all apply unchanged.  The expensive part -- the
+``check_project``, so the v1 engine, pragma suppression, ``--disable``
+and the renderers all apply unchanged.  The expensive part -- the
 summary extraction and call-graph fixpoint -- runs once per module set
 and is shared by all five rules through :class:`_AnalysisProvider`.
 
-These rules live in their own registry (``WHOLE_PROGRAM_RULES`` via
-:func:`build_whole_program_rules`), not ``ALL_RULES``: single-file runs
-keep v1 semantics, ``repro lint --whole-program`` adds this set.
+These rules live in their own registry (``WHOLE_PROGRAM_RULE_CLASSES``,
+instantiated by :func:`build_whole_program_rules`), not ``ALL_RULES``:
+single-file runs keep v1 semantics, ``repro lint --whole-program`` adds
+this set.
 """
 
 from __future__ import annotations
 
-import hashlib
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.lint.base import Finding, Module, Rule
-from repro.lint.whole_program.cache import SummaryCache
 from repro.lint.whole_program.graph import (
     LAMBDA_TARGET,
     ProjectIndex,
@@ -65,22 +63,15 @@ _MAX_CHAIN_HOPS = 5
 class WholeProgramAnalysis:
     """Summaries + project index for one module set (built once)."""
 
-    def __init__(
-        self, modules: Sequence[Module], cache_path: Optional[Path] = None
-    ) -> None:
+    def __init__(self, modules: Sequence[Module]) -> None:
         self.modules = list(modules)
-        self.cache = SummaryCache(cache_path)
         summaries: Dict[str, ModuleSummary] = {}
         for module in modules:
-            summary = self.cache.get(module.path, module.source)
-            if summary is None:
-                summary = extract_summary(module)
-                self.cache.put(module.path, module.source, summary)
+            summary = extract_summary(module)
             name = summary.name
             while name in summaries:  # fixture stem collisions
                 name += "_"
             summaries[name] = summary
-        self.cache.save()
         self.summaries = summaries
         self.index = ProjectIndex(summaries)
         self.index.analyze()
@@ -120,18 +111,14 @@ class _AnalysisProvider:
     """Builds one :class:`WholeProgramAnalysis` per module set; the five
     rules hold the same provider so the graph is computed once."""
 
-    def __init__(self, cache_path: Optional[Path] = None) -> None:
-        self.cache_path = cache_path
+    def __init__(self) -> None:
         self._key: Optional[Tuple[Tuple[str, str], ...]] = None
         self._analysis: Optional[WholeProgramAnalysis] = None
 
     def get(self, modules: Sequence[Module]) -> WholeProgramAnalysis:
-        key = tuple(
-            (m.path, hashlib.sha256(m.source.encode("utf-8")).hexdigest()[:16])
-            for m in modules
-        )
+        key = tuple((m.path, m.source) for m in modules)
         if self._analysis is None or key != self._key:
-            self._analysis = WholeProgramAnalysis(modules, self.cache_path)
+            self._analysis = WholeProgramAnalysis(modules)
             self._key = key
         return self._analysis
 
@@ -653,10 +640,8 @@ WHOLE_PROGRAM_RULE_CLASSES: Tuple[Type[_WholeProgramRule], ...] = (
 )
 
 
-def build_whole_program_rules(
-    cache_path: Optional[Path] = None,
-) -> List[Rule]:
+def build_whole_program_rules() -> List[Rule]:
     """Instantiate SL010-SL014 sharing one analysis provider (the call
     graph is built once per module set, not once per rule)."""
-    provider = _AnalysisProvider(cache_path)
+    provider = _AnalysisProvider()
     return [cls(provider) for cls in WHOLE_PROGRAM_RULE_CLASSES]

@@ -5,10 +5,8 @@ rules need from one file -- call sites with rendered receiver chains,
 impurity facts (clock/env/cwd/entropy reads, unordered-set iteration),
 module-global writes, ``raise`` sites, ``multiprocessing`` spawn sites,
 stat creation/increment/registration sites, class shapes and
-instance-attribute types.  Summaries are plain data (``to_dict`` /
-``from_dict``) so the :class:`~repro.lint.whole_program.cache.SummaryCache`
-can persist them keyed by file content hash: a warm run re-extracts only
-changed files.
+instance-attribute types.  A summary holds only facts some rule or the
+project index reads; a new fact is one more dataclass field.
 
 Rendered chains use ``.`` for attributes, ``[]`` for any subscript and
 ``()`` for an embedded call, e.g. ``self.hierarchy.l1[].stats`` -- the
@@ -19,7 +17,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.base import Module
 
@@ -89,13 +87,6 @@ class ValueDesc:
     kind: str  # "name" | "attr" | "lambda" | "call" | "const" | "other"
     text: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "text": self.text}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ValueDesc":
-        return cls(kind=str(data["kind"]), text=str(data["text"]))
-
 
 def describe_value(node: ast.AST) -> ValueDesc:
     if isinstance(node, ast.Lambda):
@@ -121,33 +112,12 @@ class ExprScan:
     open_lines: List[int] = field(default_factory=list)
     names: List[str] = field(default_factory=list)
     calls: List[str] = field(default_factory=list)
-    attrs: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "lambda_lines": self.lambda_lines,
-            "open_lines": self.open_lines,
-            "names": self.names,
-            "calls": self.calls,
-            "attrs": self.attrs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExprScan":
-        return cls(
-            lambda_lines=[int(x) for x in data["lambda_lines"]],
-            open_lines=[int(x) for x in data["open_lines"]],
-            names=[str(x) for x in data["names"]],
-            calls=[str(x) for x in data["calls"]],
-            attrs=[str(x) for x in data.get("attrs", [])],
-        )
 
     def merge(self, other: "ExprScan") -> None:
         self.lambda_lines.extend(other.lambda_lines)
         self.open_lines.extend(other.open_lines)
         self.names.extend(other.names)
         self.calls.extend(other.calls)
-        self.attrs.extend(other.attrs)
 
 
 def scan_expression(node: ast.AST) -> ExprScan:
@@ -161,10 +131,6 @@ def scan_expression(node: ast.AST) -> ExprScan:
                 scan.open_lines.append(child.lineno)
             if chain is not None:
                 scan.calls.append(chain)
-        elif isinstance(child, ast.Attribute):
-            chain = render_chain(child)
-            if chain is not None:
-                scan.attrs.append(chain)
         elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
             scan.names.append(child.id)
     return scan
@@ -177,25 +143,6 @@ class CallSite:
     args: List[ValueDesc] = field(default_factory=list)
     kwargs: Dict[str, ValueDesc] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "callee": self.callee,
-            "line": self.line,
-            "args": [value.to_dict() for value in self.args],
-            "kwargs": {key: value.to_dict() for key, value in self.kwargs.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallSite":
-        return cls(
-            callee=str(data["callee"]),
-            line=int(data["line"]),
-            args=[ValueDesc.from_dict(v) for v in data["args"]],
-            kwargs={
-                str(k): ValueDesc.from_dict(v) for k, v in data["kwargs"].items()
-            },
-        )
-
 
 @dataclass
 class Fact:
@@ -205,32 +152,12 @@ class Fact:
     line: int
     detail: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "line": self.line, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Fact":
-        return cls(
-            kind=str(data["kind"]), line=int(data["line"]), detail=str(data["detail"])
-        )
-
 
 @dataclass
 class RaiseSite:
     exc: str  # rendered exception constructor chain
     has_context: bool
     line: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"exc": self.exc, "has_context": self.has_context, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RaiseSite":
-        return cls(
-            exc=str(data["exc"]),
-            has_context=bool(data["has_context"]),
-            line=int(data["line"]),
-        )
 
 
 @dataclass
@@ -240,23 +167,6 @@ class SpawnSite:
     line: int
     target: Optional[ValueDesc]
     args_scan: Optional[ExprScan]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "target": self.target.to_dict() if self.target else None,
-            "args_scan": self.args_scan.to_dict() if self.args_scan else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SpawnSite":
-        return cls(
-            line=int(data["line"]),
-            target=ValueDesc.from_dict(data["target"]) if data["target"] else None,
-            args_scan=(
-                ExprScan.from_dict(data["args_scan"]) if data["args_scan"] else None
-            ),
-        )
 
 
 @dataclass
@@ -277,61 +187,16 @@ class FunctionSummary:
     #: local name -> candidate class chains, from ``x = ClassName(...)``
     #: bindings (a list: factory helpers rebind across branches).
     local_classes: Dict[str, List[str]] = field(default_factory=dict)
-    #: nested function name -> lineno.
-    local_functions: Dict[str, int] = field(default_factory=dict)
-    #: local name -> lineno for ``x = lambda ...`` bindings.
-    local_lambdas: Dict[str, int] = field(default_factory=dict)
+    #: names of nested functions.
+    local_functions: Set[str] = field(default_factory=set)
+    #: local names bound by ``x = lambda ...``.
+    local_lambdas: Set[str] = field(default_factory=set)
     #: loop variable -> rendered iterable chain (``for core in self.cores``).
     local_iters: Dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "class_name": self.class_name,
-            "lineno": self.lineno,
-            "nested": self.nested,
-            "params": self.params,
-            "calls": [call.to_dict() for call in self.calls],
-            "facts": [fact.to_dict() for fact in self.facts],
-            "raises": [site.to_dict() for site in self.raises],
-            "spawns": [spawn.to_dict() for spawn in self.spawns],
-            "returns": self.returns.to_dict(),
-            "local_classes": self.local_classes,
-            "local_functions": self.local_functions,
-            "local_lambdas": self.local_lambdas,
-            "local_iters": self.local_iters,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=str(data["name"]),
-            qualname=str(data["qualname"]),
-            class_name=str(data["class_name"]),
-            lineno=int(data["lineno"]),
-            nested=bool(data["nested"]),
-            params=[str(p) for p in data["params"]],
-            calls=[CallSite.from_dict(c) for c in data["calls"]],
-            facts=[Fact.from_dict(f) for f in data["facts"]],
-            raises=[RaiseSite.from_dict(r) for r in data["raises"]],
-            spawns=[SpawnSite.from_dict(s) for s in data["spawns"]],
-            returns=ExprScan.from_dict(data["returns"]),
-            local_classes={
-                str(k): [str(c) for c in v] for k, v in data["local_classes"].items()
-            },
-            local_functions={
-                str(k): int(v) for k, v in data["local_functions"].items()
-            },
-            local_lambdas={str(k): int(v) for k, v in data["local_lambdas"].items()},
-            local_iters={str(k): str(v) for k, v in data.get("local_iters", {}).items()},
-        )
 
 
 @dataclass
 class ClassSummary:
-    name: str
-    lineno: int
     bases: List[str] = field(default_factory=list)
     methods: List[str] = field(default_factory=list)
     #: attr -> (kind, text): ("instance", "ClassName") from
@@ -347,32 +212,6 @@ class ClassSummary:
     #: (constructor parameter or a parent group's ``.child()``).
     group_attrs: Dict[str, Tuple[bool, int]] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": self.bases,
-            "methods": self.methods,
-            "attr_types": {k: list(v) for k, v in self.attr_types.items()},
-            "group_attrs": {k: list(v) for k, v in self.group_attrs.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=str(data["name"]),
-            lineno=int(data["lineno"]),
-            bases=[str(b) for b in data["bases"]],
-            methods=[str(m) for m in data["methods"]],
-            attr_types={
-                str(k): (str(v[0]), str(v[1])) for k, v in data["attr_types"].items()
-            },
-            group_attrs={
-                str(k): (bool(v[0]), int(v[1]))
-                for k, v in data["group_attrs"].items()
-            },
-        )
-
 
 @dataclass
 class StatSite:
@@ -384,52 +223,13 @@ class StatSite:
     class_name: str
     line: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "stat": self.stat,
-            "kind": self.kind,
-            "class_name": self.class_name,
-            "line": self.line,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "StatSite":
-        return cls(
-            stat=str(data["stat"]),
-            kind=str(data["kind"]),
-            class_name=str(data["class_name"]),
-            line=int(data["line"]),
-        )
-
 
 @dataclass
 class Registration:
     """One ``registry.register(...)`` / ``register_all(...)`` call."""
 
-    kind: str  # "register" | "register_all"
     arg: ValueDesc
-    line: int
-    class_name: str
     func: str  # qualname of the enclosing function (for loop-var context)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "arg": self.arg.to_dict(),
-            "line": self.line,
-            "class_name": self.class_name,
-            "func": self.func,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Registration":
-        return cls(
-            kind=str(data["kind"]),
-            arg=ValueDesc.from_dict(data["arg"]),
-            line=int(data["line"]),
-            class_name=str(data["class_name"]),
-            func=str(data.get("func", "")),
-        )
 
 
 @dataclass
@@ -439,66 +239,15 @@ class ModuleSummary:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
-    #: module-level names bound to mutable containers -> lineno.
-    module_mutables: Dict[str, int] = field(default_factory=dict)
+    #: module-level names bound to mutable containers.
+    module_mutables: Set[str] = field(default_factory=set)
     #: module-level name -> element class chain for tuple/list displays
     #: of constructor calls (``WORKLOADS = (Workload(...), ...)``).
     module_containers: Dict[str, str] = field(default_factory=dict)
-    #: module-level string constants (``KIND_X = "x"``), used to resolve
-    #: constant-name stat arguments.
-    string_constants: Dict[str, str] = field(default_factory=dict)
     stat_creations: List[StatSite] = field(default_factory=list)
     #: stat names incremented anywhere in this module.
     stat_increments: List[str] = field(default_factory=list)
-    #: classes that increment at least one stat, with a witness line.
-    class_increments: Dict[str, int] = field(default_factory=dict)
     registrations: List[Registration] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "name": self.name,
-            "imports": self.imports,
-            "functions": {k: v.to_dict() for k, v in self.functions.items()},
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-            "module_mutables": self.module_mutables,
-            "module_containers": self.module_containers,
-            "string_constants": self.string_constants,
-            "stat_creations": [site.to_dict() for site in self.stat_creations],
-            "stat_increments": self.stat_increments,
-            "class_increments": self.class_increments,
-            "registrations": [reg.to_dict() for reg in self.registrations],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=str(data["path"]),
-            name=str(data["name"]),
-            imports={str(k): str(v) for k, v in data["imports"].items()},
-            functions={
-                str(k): FunctionSummary.from_dict(v)
-                for k, v in data["functions"].items()
-            },
-            classes={
-                str(k): ClassSummary.from_dict(v) for k, v in data["classes"].items()
-            },
-            module_mutables={
-                str(k): int(v) for k, v in data["module_mutables"].items()
-            },
-            module_containers={
-                str(k): str(v) for k, v in data["module_containers"].items()
-            },
-            string_constants={
-                str(k): str(v) for k, v in data["string_constants"].items()
-            },
-            stat_creations=[StatSite.from_dict(s) for s in data["stat_creations"]],
-            stat_increments=[str(s) for s in data["stat_increments"]],
-            class_increments={
-                str(k): int(v) for k, v in data["class_increments"].items()
-            },
-            registrations=[Registration.from_dict(r) for r in data["registrations"]],
-        )
 
 
 # ----------------------------------------------------------------------
@@ -580,6 +329,9 @@ class _Extractor:
         self.summary = ModuleSummary(path=module.path, name=module.name)
         self.summary.imports = _import_map(module.tree, module.name)
         self._module_level_names: Set[str] = set()
+        #: module-level string constants (``KIND_X = "x"``), used to
+        #: resolve constant-name stat arguments.
+        self._string_constants: Dict[str, str] = {}
         self._stat_incremented: Set[str] = set()
         #: binding target chain ("self._hits" / "hits") -> stat names.
         self._stat_bindings: Dict[str, List[str]] = {}
@@ -592,7 +344,7 @@ class _Extractor:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             return node.value
         if isinstance(node, ast.Name):
-            return self.summary.string_constants.get(node.id)
+            return self._string_constants.get(node.id)
         return None
 
     def _stat_creation_call(self, node: ast.Call) -> Optional[Tuple[str, str]]:
@@ -626,15 +378,15 @@ class _Extractor:
                 self._module_level_names.add(target.id)
                 value = node.value
                 if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                    self.summary.string_constants[target.id] = value.value
+                    self._string_constants[target.id] = value.value
                 elif isinstance(
                     value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.SetComp, ast.ListComp)
                 ):
-                    self.summary.module_mutables[target.id] = node.lineno
+                    self.summary.module_mutables.add(target.id)
                 elif isinstance(value, ast.Call):
                     chain = render_chain(value.func)
                     if chain in ("dict", "list", "set", "defaultdict", "deque", "OrderedDict"):
-                        self.summary.module_mutables[target.id] = node.lineno
+                        self.summary.module_mutables.add(target.id)
                 if isinstance(value, (ast.Tuple, ast.List)):
                     element_classes = {
                         render_chain(e.func)
@@ -667,7 +419,7 @@ class _Extractor:
     # -- classes -------------------------------------------------------
 
     def _extract_class(self, node: ast.ClassDef) -> None:
-        info = ClassSummary(name=node.name, lineno=node.lineno)
+        info = ClassSummary()
         info.bases = [
             chain
             for chain in (render_chain(base) for base in node.bases)
@@ -902,7 +654,7 @@ class _Extractor:
         if isinstance(child, ast.Global):
             declared_global.update(child.names)
         elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.local_functions[child.name] = child.lineno
+            info.local_functions.add(child.name)
         elif isinstance(child, ast.Return) and child.value is not None:
             info.returns.merge(scan_expression(child.value))
         elif isinstance(child, ast.Raise):
@@ -968,7 +720,7 @@ class _Extractor:
         # local bindings for resolution.
         if isinstance(target, ast.Name):
             if isinstance(value, ast.Lambda):
-                info.local_lambdas[target.id] = node.lineno
+                info.local_lambdas.add(target.id)
             else:
                 candidates = [value]
                 if isinstance(value, ast.IfExp):
@@ -1010,7 +762,7 @@ class _Extractor:
         if isinstance(target, ast.Attribute) and target.attr == "value":
             bound_chain = render_chain(target.value)
             if bound_chain is not None:
-                self._mark_binding_incremented(info, bound_chain)
+                self._mark_binding_incremented(bound_chain)
 
     def _extract_augassign(
         self, info: FunctionSummary, node: ast.AugAssign, declared_global: Set[str]
@@ -1028,7 +780,7 @@ class _Extractor:
         if isinstance(target, ast.Attribute) and target.attr == "value":
             bound_chain = render_chain(target.value)
             if bound_chain is not None:
-                self._mark_binding_incremented(info, bound_chain)
+                self._mark_binding_incremented(bound_chain)
 
     def _flag_module_state_write(
         self, info: FunctionSummary, target: ast.AST, lineno: int
@@ -1053,14 +805,8 @@ class _Extractor:
                 )
             )
 
-    def _mark_binding_incremented(self, info: FunctionSummary, chain: str) -> None:
-        stats = self._stat_bindings.get(chain)
-        if stats:
-            for stat in stats:
-                self._stat_incremented.add(stat)
-                self.summary.class_increments.setdefault(
-                    info.class_name or "<module>", info.lineno
-                )
+    def _mark_binding_incremented(self, chain: str) -> None:
+        self._stat_incremented.update(self._stat_bindings.get(chain, ()))
 
     def _extract_call(self, info: FunctionSummary, node: ast.Call) -> None:
         summary = self.summary
@@ -1134,25 +880,16 @@ class _Extractor:
                 inner_creation = self._stat_creation_call(inner)
                 if inner_creation is not None:
                     self._stat_incremented.add(inner_creation[0])
-                    summary.class_increments.setdefault(
-                        info.class_name or "<module>", line
-                    )
             else:
                 bound_chain = render_chain(inner)
                 if bound_chain is not None:
-                    self._mark_binding_incremented(info, bound_chain)
+                    self._mark_binding_incremented(bound_chain)
 
         # Metrics registrations.
         final = chain.rsplit(".", 1)[-1]
         if final in ("register", "register_all") and node.args:
             summary.registrations.append(
-                Registration(
-                    kind=final,
-                    arg=describe_value(node.args[0]),
-                    line=line,
-                    class_name=info.class_name,
-                    func=info.qualname,
-                )
+                Registration(arg=describe_value(node.args[0]), func=info.qualname)
             )
 
 

@@ -16,12 +16,7 @@ import sys
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import (
-    ALL_RULES,
-    RULES_BY_ID,
-    LintConfig,
-    lint_paths,
-)
+from repro.lint import ALL_RULES, RULES_BY_ID, lint_paths
 from repro.lint.engine import module_name_for, parse_module
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -482,20 +477,6 @@ def test_inline_pragma_suppresses_single_rule(tmp_path):
     assert findings[0].line == 4
 
 
-def test_config_disable_and_per_file_ignores(tmp_path):
-    path = tmp_path / "repro" / "sim" / "x.py"
-    path.parent.mkdir(parents=True)
-    path.write_text("def f():\n    print('x')\n")
-    assert lint_paths([str(path)], config=LintConfig(disabled={"SL007"})) == []
-    assert (
-        lint_paths(
-            [str(path)],
-            config=LintConfig(per_file_ignores={"repro/sim/x.py": ["SL007"]}),
-        )
-        == []
-    )
-
-
 def test_module_name_resolution():
     assert module_name_for(os.path.join("src", "repro", "sim", "system.py")) == (
         "repro.sim.system"
@@ -571,6 +552,12 @@ def test_cli_lint_rejects_unknown_rule_and_missing_path(tmp_path):
     assert code == 2 and "unknown rule" in output
     code, output = run_cli("lint", str(tmp_path / "missing"))
     assert code == 2 and "no such path" in output
+    # A path holding no Python file must fail the gate, not pass it.
+    notes = tmp_path / "notes.md"
+    notes.write_text("# not python\n")
+    for argv in ([str(tmp_path)], [str(notes)], ["--whole-program", str(tmp_path)]):
+        code, output = run_cli("lint", *argv)
+        assert code == 2 and "no Python files under" in output
 
 
 def test_cli_list_rules_mentions_every_rule():

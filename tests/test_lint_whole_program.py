@@ -1,28 +1,21 @@
 """Fixture-based self-tests for the whole-program rules SL010-SL014,
-the call-graph engine underneath them, the summary cache, the baseline
-workflow, and the ``repro lint --whole-program`` CLI surface.
+the call-graph engine underneath them, and the ``repro lint
+--whole-program`` CLI surface.
 
 Each rule gets a known-bad fixture project that must fire and a
 known-good variant that must stay silent -- the static proof that the
 interprocedural analysis catches what it claims and nothing else.
 """
 
-import dataclasses
 import io
-import json
 import os
 
 from repro.cli import main as cli_main
 from repro.lint import lint_paths
 from repro.lint.engine import parse_module
 from repro.lint.whole_program import (
-    Baseline,
-    BaselineError,
-    SummaryCache,
     WHOLE_PROGRAM_RULE_CLASSES,
     build_whole_program_rules,
-    extract_summary,
-    finding_fingerprint,
 )
 from repro.lint.whole_program.graph import FALLBACK_EXCLUDED
 from repro.lint.whole_program.rules import WholeProgramAnalysis
@@ -563,106 +556,12 @@ def test_generic_method_names_do_not_fan_out(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Summary cache
-
-
-def test_summary_cache_hits_on_same_content_and_misses_on_change(tmp_path):
-    source = "def f():\n    return 1\n"
-    module_path = tmp_path / "repro" / "sim" / "snippet.py"
-    module_path.parent.mkdir(parents=True)
-    module_path.write_text(source)
-    module = parse_module(str(module_path))
-    cache_path = tmp_path / "cache.json"
-
-    cache = SummaryCache(cache_path)
-    assert cache.get(module.path, module.source) is None
-    cache.put(module.path, module.source, extract_summary(module))
-    cache.save()
-    assert cache_path.exists()
-
-    warm = SummaryCache(cache_path)
-    assert warm.get(module.path, module.source) is not None
-    assert warm.get(module.path, module.source + "\n# changed\n") is None
-
-
-def test_analysis_round_trips_through_the_cache(tmp_path):
-    files = {
-        "repro/exec/snippet.py": (
-            "import time\n"
-            "def simulate_cell(cell):\n"
-            "    return time.time()\n"
-        )
-    }
-    root = write_project(tmp_path, files)
-    cache_path = tmp_path / "cache.json"
-    rules_cold = build_whole_program_rules(cache_path)
-    cold = lint_paths([root], rules=rules_cold)
-    rules_warm = build_whole_program_rules(cache_path)
-    warm = lint_paths([root], rules=rules_warm)
-    assert [f.as_dict() for f in cold] == [f.as_dict() for f in warm]
-    assert rule_ids(warm) == ["SL012"]
-
-
-# ----------------------------------------------------------------------
-# Baseline
-
-
-def make_finding_via_rule(tmp_path):
-    findings = wp_lint(
-        tmp_path,
-        {
-            "repro/exec/snippet.py": (
-                "import time\n"
-                "def simulate_cell(cell):\n"
-                "    return time.time()\n"
-            )
-        },
-        only="SL012",
-    )
-    assert findings
-    return findings
-
-
-def test_baseline_round_trip_suppresses_known_findings(tmp_path):
-    findings = make_finding_via_rule(tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(findings).dump(baseline_path)
-    loaded = Baseline.load(baseline_path)
-    assert len(loaded) == len(findings)
-    kept, suppressed = loaded.filter(findings)
-    assert kept == []
-    assert suppressed == len(findings)
-
-
-def test_baseline_fingerprint_is_line_independent(tmp_path):
-    finding = make_finding_via_rule(tmp_path)[0]
-    moved = dataclasses.replace(finding, line=finding.line + 7, col=finding.col + 3)
-    assert finding_fingerprint(finding) == finding_fingerprint(moved)
-
-
-def test_baseline_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{not json")
-    try:
-        Baseline.load(bad)
-    except BaselineError as exc:
-        assert "baseline" in str(exc)
-    else:
-        raise AssertionError("BaselineError expected")
-
-
-# ----------------------------------------------------------------------
-# The gate: the shipped tree is clean under whole-program analysis,
-# with an EMPTY baseline (no grandfathered findings).
+# The gate: the shipped tree is clean under whole-program analysis.
 
 
 def test_src_repro_is_whole_program_clean():
     findings = lint_paths([SRC_REPRO], rules=build_whole_program_rules())
     assert findings == [], "\n" + "\n".join(f.render() for f in findings)
-
-
-def test_no_committed_baseline_file():
-    assert not os.path.exists(os.path.join(REPO_ROOT, "lint-baseline.json"))
 
 
 def test_every_whole_program_rule_has_metadata():
@@ -712,66 +611,8 @@ def test_cli_bare_lint_defaults_to_whole_program():
     assert "no findings" in output
 
 
-def test_cli_sarif_output_is_valid(tmp_path):
-    root = fixture_project(tmp_path)
-    code, output = run_cli("lint", "--whole-program", "--format", "sarif", root)
-    assert code == 1
-    payload = json.loads(output)
-    assert payload["version"] == "2.1.0"
-    run = payload["runs"][0]
-    assert any(r["ruleId"] == "SL012" for r in run["results"])
-    descriptor_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"SL010", "SL011", "SL012", "SL013", "SL014"} <= descriptor_ids
-
-
-def test_cli_baseline_workflow_and_exit_codes(tmp_path):
-    root = fixture_project(tmp_path)
-    baseline = tmp_path / "baseline.json"
-
-    code, output = run_cli(
-        "lint", "--whole-program", "--write-baseline", str(baseline), root
-    )
-    assert code == 0
-    assert "wrote 1 baseline entry" in output
-
-    code, output = run_cli(
-        "lint", "--whole-program", "--baseline", str(baseline), root
-    )
-    assert code == 0
-    assert "suppressed by baseline" in output
-
-    code, output = run_cli(
-        "lint", "--whole-program", "--baseline", str(tmp_path / "missing.json"), root
-    )
-    assert code == 2
-    assert output.startswith("error:")
-
-    garbage = tmp_path / "garbage.json"
-    garbage.write_text("{not json")
-    code, output = run_cli(
-        "lint", "--whole-program", "--baseline", str(garbage), root
-    )
-    assert code == 2
-    assert output.startswith("error:")
-
-
 def test_cli_list_rules_includes_whole_program_set():
     code, output = run_cli("lint", "--list-rules")
     assert code == 0
     for rule_id in ("SL010", "SL011", "SL012", "SL013", "SL014"):
         assert rule_id in output
-
-
-def test_cli_summary_cache_persists_between_runs(tmp_path):
-    root = fixture_project(tmp_path)
-    cache = tmp_path / "summaries.json"
-    code, _ = run_cli(
-        "lint", "--whole-program", "--summary-cache", str(cache), root
-    )
-    assert code == 1
-    assert cache.exists()
-    code, output = run_cli(
-        "lint", "--whole-program", "--summary-cache", str(cache), root
-    )
-    assert code == 1
-    assert "SL012" in output
