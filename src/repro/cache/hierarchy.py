@@ -55,33 +55,6 @@ class CacheHierarchy:
         self._l2_writebacks = self.stats.counter_handle("l2_writebacks")
         self._tempo_llc_prefetch_fills = self.stats.counter_handle("tempo_llc_prefetch_fills")
         self._imp_prefetch_fills = self.stats.counter_handle("imp_prefetch_fills")
-        #: Nullable utilization tracks (:mod:`repro.obs.timeline`),
-        #: per-core for L1/L2, one shared track for the LLC.
-        self._util_l1 = None
-        self._util_l2 = None
-        self._util_llc = None
-
-    def attach_util(self, l1_tracks, l2_tracks, llc_track):
-        """Wire busy/idle accounting into the utilization ledger."""
-        self._util_l1 = list(l1_tracks)
-        self._util_l2 = list(l2_tracks)
-        self._util_llc = llc_track
-
-    def report_probe(self, cpu, result, start):
-        """Report the per-level occupancy of one :meth:`access` probe
-        beginning at *start*.  Probes are modelled sequentially: the L1
-        array is busy until its latency, a deeper probe then occupies
-        the L2 until its latency, and the LLC until its latency (a full
-        miss spends the same LLC window discovering the miss)."""
-        if self._util_llc is None:
-            return
-        self._util_l1[cpu].busy(start, start + self._l1_latency)
-        if result.hit_level == "l1":
-            return
-        self._util_l2[cpu].busy(start + self._l1_latency, start + self._l2_latency)
-        if result.hit_level == "l2":
-            return
-        self._util_llc.busy(start + self._l2_latency, start + self._llc_latency)
 
     def access(self, cpu, paddr, is_write=False):
         """Probe L1 -> L2 -> LLC for the line holding *paddr*.

@@ -57,13 +57,6 @@ class ImpPrefetcher:
         #: Trained streams (prefetch table), LRU by dict order.
         self._table = {}
         self.stats = StatGroup(name)
-        #: Nullable utilization track (:mod:`repro.obs.timeline`).
-        self.util = None
-
-    def occupy(self, start, end):
-        """Report the prefetch path busy for ``[start, end)``."""
-        if self.util is not None:
-            self.util.busy(start, end)
 
     def observe(self, pattern_id, record_index, upcoming):
         """Digest one demand access and return prefetch targets.

@@ -115,8 +115,9 @@ def _build_config(args):
 
 
 def _invariant_mode(args):
-    """The ``--check-invariants`` value, with ``off`` mapped to None so
-    the simulator's zero-cost path stays literally ``audit is None``."""
+    """The ``--check-invariants`` value, with ``off`` mapped to None (the
+    default of the simulator and the executor): no audit suite is built,
+    so the audit adds nothing to the simulator's probe."""
     mode = getattr(args, "check_invariants", "off")
     return None if mode == "off" else mode
 
@@ -243,7 +244,7 @@ def _cmd_run(args, out):
         config,
         length=args.length,
         seed=args.seed,
-        tracer=tracer,
+        probe=tracer,
         check_invariants=_invariant_mode(args),
     )
     _print_result(result, out)
@@ -259,7 +260,7 @@ def _cmd_stats(args, out):
         config,
         length=args.length,
         seed=args.seed,
-        tracer=tracer,
+        probe=tracer,
         check_invariants=_invariant_mode(args),
     )
     stats = result.stats
@@ -300,8 +301,8 @@ def _cmd_timeline(args, out):
         config,
         length=args.length,
         seed=args.seed,
+        probe=recorder,
         check_invariants=_invariant_mode(args),
-        timeline=recorder,
     )
     payload = timeline_payload(recorder)
     out.write(render_timeline(payload, width=args.width))

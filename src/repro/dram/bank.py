@@ -195,16 +195,6 @@ class DramDevice:
         total = self.address_map.total_banks
         make_bank = bank_factory if bank_factory is not None else self._default_bank
         self.banks = [make_bank(bank_id, total) for bank_id in range(total)]
-        #: Nullable per-bank utilization tracks, indexed like ``banks``
-        #: (:mod:`repro.obs.timeline`).  Occupancy is reported here at
-        #: the device level so sub-row banks (interface-compatible, not
-        #: a :class:`Bank` subclass) are covered by the same hook.
-        self._util_banks = None
-
-    def attach_util(self, bank_tracks):
-        """Wire per-bank busy/idle accounting into the utilization
-        ledger; *bank_tracks* is indexed like :attr:`banks`."""
-        self._util_banks = list(bank_tracks)
 
     def _default_bank(self, bank_id, total):
         return Bank(bank_id, total, self.config, self.row_policy, self.stats.child("bank"))
@@ -226,7 +216,7 @@ class DramDevice:
         """Access *row* of the bank at flat index *bank_index* (both from
         :meth:`AddressMap.decode`, which the memory controller runs once
         per request); returns ``(start, end, outcome)``."""
-        start, end, outcome = self.banks[bank_index].access(
+        return self.banks[bank_index].access(
             row,
             now,
             keep_open_extra,
@@ -235,9 +225,6 @@ class DramDevice:
             row_offset=row_offset,
             latency_override=latency_override,
         )
-        if self._util_banks is not None:
-            self._util_banks[bank_index].busy(start, end)
-        return start, end, outcome
 
     def classify(self, paddr, now):
         """What outcome an access at *now* would see (no state change)."""

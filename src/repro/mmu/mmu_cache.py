@@ -65,14 +65,6 @@ class MmuCaches:
         self._hits = self.stats.counter_handle("hits")
         self._misses = self.stats.counter_handle("misses")
         self._fills = self.stats.counter_handle("fills")
-        #: Nullable utilization track (:mod:`repro.obs.timeline`).
-        self.util = None
-
-    def occupy(self, start, end):
-        """Report the arrays busy for ``[start, end)`` (walk-cache
-        probes that sourced an entry)."""
-        if self.util is not None:
-            self.util.busy(start, end)
 
     def lookup(self, level, entry_paddr, is_leaf):
         """True when the walker can source this entry from the MMU cache.

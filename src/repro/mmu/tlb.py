@@ -110,28 +110,6 @@ class TlbHierarchy:
         self._l1_hits = self.stats.counter_handle("l1_hits")
         self._l2_hits = self.stats.counter_handle("l2_hits")
         self._misses = self.stats.counter_handle("misses")
-        #: Nullable utilization tracks (:mod:`repro.obs.timeline`); the
-        #: off path is a single ``is None`` test in :meth:`report_lookup`.
-        self.util_l1 = None
-        self.util_l2 = None
-
-    def attach_util(self, l1_track, l2_track):
-        """Wire busy/idle accounting into the utilization ledger."""
-        self.util_l1 = l1_track
-        self.util_l2 = l2_track
-
-    def report_lookup(self, start, outcome):
-        """Report one probe's occupancy; *outcome* is what
-        :meth:`lookup` returned for it.  The L1 arrays are busy for the
-        one-cycle probe; the L2 is additionally busy for its access
-        latency on an L1 miss (one tag-check cycle on a full miss)."""
-        if self.util_l1 is None:
-            return
-        self.util_l1.busy(start, start + 1)
-        if outcome is None:
-            self.util_l2.busy(start, start + 1)
-        elif outcome[2]:
-            self.util_l2.busy(start + 1, start + 1 + outcome[2])
 
     def lookup(self, vaddr):
         """Probe L1 then L2.

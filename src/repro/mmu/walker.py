@@ -97,13 +97,6 @@ class PageTableWalker:
         self._tagged_leaf_requests = self.stats.counter_handle("tagged_leaf_requests")
         self._completed_walks = self.stats.counter_handle("completed_walks")
         self._memory_steps = self.stats.histogram_handle("memory_steps_per_walk")
-        #: Nullable utilization track (:mod:`repro.obs.timeline`).
-        self.util = None
-
-    def occupy(self, start, end):
-        """Report the walker state machine busy for one whole walk."""
-        if self.util is not None:
-            self.util.busy(start, end)
 
     def plan(self, vaddr):
         """Build the :class:`WalkPlan` for a TLB miss at *vaddr*.

@@ -1,17 +1,10 @@
-"""Wall-clock phase profiling and progress reporting for long runs.
+"""Wall-clock phase profiling for long runs.
 
 :class:`PhaseProfiler` measures host wall-clock per named phase (warmup,
 measure, drain, shared, alone.*, ...) and derives records/sec
 throughput; the summary lands in the run manifest's ``timings``.
-
-:class:`ProgressMeter` rate-limits a user progress callback to once per
-*interval* records so the callback's cost never shapes the simulation.
-With no callback it renders to **stderr** -- interactive chatter must
-never interleave with the machine-readable results on stdout (simlint
-SL007 enforces the same rule statically).
 """
 
-import sys
 import time
 
 
@@ -78,35 +71,3 @@ class _PhaseScope:
     def __exit__(self, exc_type, exc, tb):
         self._profiler.end()
         return False
-
-
-def _stderr_progress(done, total):
-    """Default renderer: one status line per firing, on stderr so that
-    stdout stays clean for results (never ``print``/stdout here)."""
-    sys.stderr.write("progress: %d/%d records\n" % (done, total))
-
-
-class ProgressMeter:
-    """Calls ``callback(done, total)`` at most once per *interval*
-    records.  ``tick()`` is the hot-path entry: one increment and one
-    comparison per record between callbacks.  ``callback=None`` selects
-    the default stderr renderer."""
-
-    __slots__ = ("_callback", "_interval", "_total", "_done", "_next")
-
-    def __init__(self, callback, total, interval=5000):
-        self._callback = callback if callback is not None else _stderr_progress
-        self._interval = max(1, interval)
-        self._total = total
-        self._done = 0
-        self._next = self._interval
-
-    def tick(self, amount=1):
-        self._done += amount
-        if self._done >= self._next:
-            self._next = self._done + self._interval
-            self._callback(self._done, self._total)
-
-    def finish(self):
-        """Always report the final count."""
-        self._callback(self._done, self._total)

@@ -1,27 +1,30 @@
 """Utilization timelines and top-down bottleneck attribution.
 
-Three instruments, bundled by :class:`TimelineRecorder` and attached to
-a run via ``SystemSimulator(..., timeline=recorder)``:
+Three instruments, bundled by :class:`TimelineRecorder` -- a
+:class:`~repro.obs.probe.Probe` attached to a run via
+``SystemSimulator(..., probe=recorder)``:
 
 * :class:`UtilizationLedger` -- per-unit busy/idle cycle accounting.
-  Every simulated unit (TLB levels, MMU caches, walkers, cache levels,
-  DRAM banks and channels, the TEMPO and IMP engines) reports each busy
-  span into its :class:`UnitTrack`; spans accumulate both a run total
-  and a per-interval histogram so utilization can be plotted over time.
-* :class:`BottleneckAttributor` -- splits every reference's cycles into
-  translation-stall / cache-stall / DRAM-stall / overlap buckets.  The
-  split is exact: the simulator reports each cycle increment as it
-  happens, and the per-reference sum must equal the reference's elapsed
-  cycles (``unattributed_cycles`` stays zero; tests pin this).  Bucket
-  sums are kept per interval so the critical resource can be named for
-  each slice of the run.
+  The recorder turns the simulator's events into busy spans of every
+  simulated unit (TLB levels, MMU caches, walkers, cache levels, DRAM
+  banks and channels, the TEMPO and IMP engines), demand and IMP work
+  alike; spans accumulate both a run total and a per-interval histogram
+  in each unit's :class:`UnitTrack`, so utilization can be plotted over
+  time.
+* :class:`BottleneckAttributor` -- splits every demand reference's
+  cycles into translation-stall / cache-stall / DRAM-stall / overlap
+  buckets.  The split is exact: each event carries its cycle increment,
+  and the per-reference sum must equal the reference's elapsed cycles
+  (``unattributed_cycles`` stays zero; tests pin this).  Bucket sums
+  are kept per interval so the critical resource can be named for each
+  slice of the run.
 * :class:`IntervalSampler` -- snapshots the flattened metric namespace
   every N cycles into a time-sliced series (phase plots of TLB-miss
   rate, walk latency, replay-DRAM conversion over the run).
 
-The off path is a single ``is None`` check in the simulator, and none
-of the recorded data enters ``result.stats`` -- stats are bit-identical
-with the recorder on or off (pinned by tests/test_timeline.py).
+None of the recorded data enters ``result.stats`` -- stats are
+bit-identical with the recorder on or off (pinned by
+tests/test_timeline.py).
 
 Rendering/export: :func:`timeline_payload` freezes a recorder into a
 plain-dict payload; :func:`render_timeline` draws ASCII utilization
@@ -30,8 +33,17 @@ bars and phase timelines from it; :func:`write_timeline_json` /
 CSV provably show the same data.
 """
 
+from __future__ import annotations
+
 import json
-from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+from repro.obs.probe import Probe, TlbHit
+from repro.sched.request import KIND_TEMPO_PREFETCH
+
+if TYPE_CHECKING:
+    from repro.cache.hierarchy import AccessResult
+    from repro.sim.trace import TraceRecord
 
 #: Default width of one utilization/attribution interval, in cycles.
 DEFAULT_INTERVAL = 4096
@@ -99,9 +111,8 @@ class UnitTrack:
 class UtilizationLedger:
     """The shared per-unit busy/idle ledger.
 
-    Units are created on demand by :meth:`unit`; the simulator wires one
-    track into each hardware unit at construction time, so the hot-path
-    cost with the ledger off is a single ``is None`` test per unit.
+    Units are created on demand by :meth:`unit`; the recorder creates
+    every unit's track at run start, so idle units report 0 busy cycles.
     """
 
     __slots__ = ("interval", "units")
@@ -131,7 +142,7 @@ class UtilizationLedger:
 class BottleneckAttributor:
     """Top-down per-reference cycle attribution.
 
-    The simulator calls :meth:`begin` when a reference arrives at the
+    The recorder calls :meth:`begin` when a reference arrives at the
     TLB, the ``add_*`` methods for every cycle increment along the way,
     and :meth:`end` when the reference retires.  Per-core in-flight
     state keys on the cpu index so interleaved multicore streams do not
@@ -220,7 +231,7 @@ class BottleneckAttributor:
 class IntervalSampler:
     """Snapshots the flattened metric namespace every *every* cycles.
 
-    The simulator binds a collector (``metrics_registry().collect``) at
+    The recorder binds a collector (``metrics_registry().collect``) at
     run start and calls :meth:`maybe_sample` once per retired record;
     :meth:`finish` takes the end-of-run snapshot.  Collection is
     side-effect-free, so sampling never perturbs the run and the series
@@ -253,15 +264,21 @@ class IntervalSampler:
             self.samples.append((cycle, self._collect()))
 
 
-class TimelineRecorder:
-    """The bundle the simulator accepts as its ``timeline`` hook.
+class TimelineRecorder(Probe):
+    """The three instruments as one probe.
 
     *interval* sets the bucket width for both the ledger and the
     attributor; *sample_interval* sets the metric-snapshot period
     (default: same as *interval*; 0 disables sampling).
-    """
 
-    __slots__ = ("ledger", "attribution", "sampler")
+    Occupancy model: a TLB lookup keeps the L1 arrays busy for one
+    cycle, and the L2 for its extra latency on an L2 hit (one tag-check
+    cycle on a miss).  A cache probe is sequential: the L1 is busy until
+    its latency, a deeper probe then occupies the L2 until its latency
+    and the LLC until its latency (a full miss spends the same LLC
+    window discovering the miss).  A DRAM service holds its channel's
+    bus for the burst and its bank until the access ends.
+    """
 
     def __init__(
         self,
@@ -273,6 +290,136 @@ class TimelineRecorder:
         if sample_interval is None:
             sample_interval = interval
         self.sampler = IntervalSampler(sample_interval) if sample_interval > 0 else None
+
+    def on_start(self, machine: Any) -> None:
+        """Create every unit's track, so idle units show 0 busy cycles,
+        and read the latencies the occupancy model needs."""
+        unit = self.ledger.unit
+        cores = ["core%d" % core.cpu for core in machine.cores]
+        self._tlb_l1 = [unit(core + ".tlb.l1") for core in cores]
+        self._tlb_l2 = [unit(core + ".tlb.l2") for core in cores]
+        self._mmu = [unit(core + ".mmu_cache") for core in cores]
+        self._walker = [unit(core + ".walker") for core in cores]
+        self._imp = [
+            unit("core%d.imp" % core.cpu) if core.imp is not None else None
+            for core in machine.cores
+        ]
+        self._l1 = [unit(core + ".l1") for core in cores]
+        self._l2 = [unit(core + ".l2") for core in cores]
+        self._llc = unit("llc")
+        controller = machine.controller
+        self._channels = [
+            unit("dram.channel%d" % channel) for channel in range(controller.num_channels)
+        ]
+        self._banks = [
+            unit("dram.bank%d" % index) for index in range(len(controller.device.banks))
+        ]
+        self._engine = unit("tempo.engine") if machine.engine is not None else None
+        config = machine.config
+        #: L1, L2 and LLC probe latencies.
+        self._latency = (config.core.l1_latency, config.core.l2_latency, config.core.llc_latency)
+        self._fill_latency = config.core.tlb_fill_latency
+        self._bus_cycles = config.dram.bus_cycles
+        if self.sampler is not None:
+            self.sampler.bind(lambda: machine.metrics_registry().collect())
+
+    def _probe(self, cpu: int, start: int, result: AccessResult) -> None:
+        l1, l2, llc = self._latency
+        self._l1[cpu].busy(start, start + l1)
+        if result.hit_level == "l1":
+            return
+        self._l2[cpu].busy(start + l1, start + l2)
+        if result.hit_level == "l2":
+            return
+        self._llc.busy(start + l2, start + llc)
+
+    def on_tlb(self, cpu: int, start: int, hit: Optional[TlbHit], demand: bool) -> None:
+        self._tlb_l1[cpu].busy(start, start + 1)
+        if hit is None:
+            self._tlb_l2[cpu].busy(start, start + 1)
+            cycles = 1
+        else:
+            cycles = 1 + hit[2]
+            self._tlb_l2[cpu].busy(start + 1, start + cycles)
+        if demand:
+            self.attribution.begin(cpu, start)
+            self.attribution.add_translation(cpu, cycles)
+
+    def on_mmu_step(self, cpu: int, start: int, end: int, level: int, demand: bool) -> None:
+        self._mmu[cpu].busy(start, end)
+        if demand:
+            self.attribution.add_translation(cpu, end - start)
+
+    def on_pt_step(
+        self,
+        cpu: int,
+        start: int,
+        end: int,
+        level: int,
+        result: AccessResult,
+        request: Any,
+        demand: bool,
+    ) -> None:
+        self._probe(cpu, start, result)
+        if demand:
+            self.attribution.add_translation(cpu, result.latency)
+            if request is not None:
+                self.attribution.add_dram(cpu, end - start - result.latency)
+
+    def on_walk(
+        self, cpu: int, start: int, end: int, plan: Any, leaf_request: Any, demand: bool
+    ) -> None:
+        self._walker[cpu].busy(start, end)
+        if demand:
+            self.attribution.add_translation(cpu, self._fill_latency)
+
+    def on_cache(
+        self, cpu: int, begin: int, start: int, result: AccessResult, demand: bool
+    ) -> None:
+        self._probe(cpu, start, result)
+        if demand:
+            self.attribution.add_dram(cpu, start - begin)
+            self.attribution.add_cache(cpu, result.latency)
+
+    def on_overlap(self, cpu: int, start: int, result: AccessResult) -> None:
+        # The replay's DRAM time was hidden by the timely prefetch; what
+        # remains is pure overlap win.
+        self._probe(cpu, start, result)
+        self.attribution.add_overlap(cpu, result.latency)
+
+    def on_dram(self, cpu: int, request: Any, start: int, finish: int, service: str) -> None:
+        self.attribution.add_dram(cpu, finish - start)
+
+    def on_prefetch(self, cpu: int, start: int, end: int) -> None:
+        track = self._imp[cpu]
+        if track is not None:
+            track.busy(start, end)
+
+    def on_ref(
+        self,
+        cpu: int,
+        record: TraceRecord,
+        arrival: int,
+        begin: int,
+        finish: int,
+        walked: bool,
+        service: str,
+    ) -> None:
+        self.attribution.end(cpu, finish)
+
+    def on_tick(self, machine: Any, time: int) -> None:
+        if self.sampler is not None:
+            self.sampler.maybe_sample(time)
+
+    def on_finish(self, machine: Any, cycles: int) -> None:
+        if self.sampler is not None:
+            self.sampler.finish(cycles)
+
+    def on_service(self, channel: int, request: Any, start: int, end: int) -> None:
+        self._channels[channel].busy(start, start + self._bus_cycles)
+        self._banks[request.bank_index].busy(start, end)
+        if self._engine is not None and request.kind == KIND_TEMPO_PREFETCH:
+            self._engine.busy(start, end)
 
 
 def capture_timeline(
@@ -289,9 +436,7 @@ def capture_timeline(
     from repro.sim.runner import run_workload
 
     recorder = TimelineRecorder(interval, sample_interval)
-    result = run_workload(
-        workload, config, length=length, seed=seed, timeline=recorder
-    )
+    result = run_workload(workload, config, length=length, seed=seed, probe=recorder)
     return result, recorder
 
 
@@ -514,8 +659,3 @@ def render_timeline(payload: Dict[str, Any], width: int = 60) -> str:
         )
         lines.append("")
     return "\n".join(lines) + "\n"
-
-
-def write_timeline_text(payload: Dict[str, Any], stream: TextIO, width: int = 60) -> None:
-    """Render the payload to *stream* (convenience for the CLI)."""
-    stream.write(render_timeline(payload, width))

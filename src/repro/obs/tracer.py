@@ -1,32 +1,36 @@
 """Structured event tracer for per-reference lifecycle spans.
 
-The simulator emits one span per lifecycle stage of a trace record
-(``record`` -> ``tlb`` / ``walk`` -> ``mmu_cache`` / ``pt_access`` ->
-``dram`` -> ``replay``), each carrying its sim-time begin/end (cycles)
-and a small tag dict (outcome, level, kind, ...).  Spans are stored as
-plain tuples so the on-path cost is one list append; everything
-presentation-related happens at export time.
+A :class:`~repro.obs.probe.Probe` that turns the simulator's events
+into one span per lifecycle stage of a trace record (``record`` ->
+``tlb_lookup`` / ``walk`` -> ``mmu_cache`` / ``pt_access`` -> ``dram``
+-> ``replay`` / ``access``), each carrying its sim-time begin/end
+(cycles) and a small tag dict (outcome, level, kind, ...).  Spans are
+stored as plain tuples so the on-path cost is one list append;
+everything presentation-related happens at export time.  Attach it as
+``SystemSimulator(..., probe=tracer)``.
 
 Export target is the Chrome trace-event format (the JSON-array flavour),
 loadable in ``chrome://tracing`` or https://ui.perfetto.dev: cores map
 to Chrome *threads*, sim-time cycles map 1:1 onto microseconds.
-
-The tracer is *nullable by convention*: simulator hot paths hold
-``tracer = self.tracer`` locally and guard emissions with a single
-``if tracer is not None`` -- a disabled run pays only that test.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-#: (name, cpu, begin, end_or_None, tags_or_None).
-Span = Tuple[str, int, int, Optional[int], Optional[Dict[str, Any]]]
+from repro.obs.probe import Probe, TlbHit
+
+if TYPE_CHECKING:
+    from repro.cache.hierarchy import AccessResult
+    from repro.sim.trace import TraceRecord
+
+#: (name, cpu, begin, end, tags_or_None).
+Span = Tuple[str, int, int, int, Optional[Dict[str, Any]]]
 
 
-class EventTracer:
-    """Records complete spans and instant events in sim time.
+class EventTracer(Probe):
+    """Records complete spans in sim time.
 
     *limit* bounds memory on long runs: once reached, further events are
     counted in :attr:`dropped` instead of stored (the Chrome export
@@ -39,7 +43,7 @@ class EventTracer:
     DEFAULT_LIMIT = 1_000_000
 
     def __init__(self, limit: Optional[int] = DEFAULT_LIMIT) -> None:
-        #: (name, cpu, begin, end_or_None, tags_or_None) tuples.
+        #: (name, cpu, begin, end, tags_or_None) tuples.
         self.events: List[Span] = []
         self.dropped = 0
         self._limit = limit
@@ -52,7 +56,7 @@ class EventTracer:
         name: str,
         cpu: int,
         begin: int,
-        end: Optional[int],
+        end: int,
         tags: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Record a complete span ``[begin, end]`` (cycles) on *cpu*."""
@@ -61,19 +65,65 @@ class EventTracer:
             return
         self.events.append((name, cpu, begin, end, tags))
 
-    def instant(
-        self,
-        name: str,
-        cpu: int,
-        ts: int,
-        tags: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Record a zero-duration marker at *ts*."""
-        self.span(name, cpu, ts, None, tags)
+    # ------------------------------------------------------------------
+    # Probe events: demand references only, plus every walk level that
+    # referenced memory (IMP prefetch walks included)
+    # ------------------------------------------------------------------
 
-    def clear(self) -> None:
-        self.events = []
-        self.dropped = 0
+    def on_tlb(self, cpu: int, start: int, hit: Optional[TlbHit], demand: bool) -> None:
+        if demand:
+            extra = 0 if hit is None else hit[2]
+            outcome = "miss" if hit is None else "l2" if extra else "l1"
+            self.span("tlb_lookup", cpu, start, start + 1 + extra, {"outcome": outcome})
+
+    def on_mmu_step(self, cpu: int, start: int, end: int, level: int, demand: bool) -> None:
+        if demand:
+            self.span("mmu_cache", cpu, start, end, {"level": level})
+
+    def on_pt_step(
+        self,
+        cpu: int,
+        start: int,
+        end: int,
+        level: int,
+        result: AccessResult,
+        request: Any,
+        demand: bool,
+    ) -> None:
+        if request is None:
+            self.span("pt_access", cpu, start, end, {"level": level, "hit": result.hit_level})
+            return
+        self.span("pt_access", cpu, start, end, {"level": level, "hit": "dram"})
+        tags = {"kind": "pt", "leaf": request.pt_leaf, "outcome": request.outcome}
+        self.span("dram", cpu, start + result.latency, end, tags)
+
+    def on_walk(
+        self, cpu: int, start: int, end: int, plan: Any, leaf_request: Any, demand: bool
+    ) -> None:
+        if demand:
+            tags = {
+                "levels": len(plan.steps),
+                "leaf_dram": leaf_request is not None,
+                "page_size": plan.entry.page_size,
+            }
+            self.span("walk", cpu, start, end, tags)
+
+    def on_dram(self, cpu: int, request: Any, start: int, finish: int, service: str) -> None:
+        self.span("dram", cpu, start, finish, {"kind": "demand", "outcome": request.outcome})
+
+    def on_ref(
+        self,
+        cpu: int,
+        record: TraceRecord,
+        arrival: int,
+        begin: int,
+        finish: int,
+        walked: bool,
+        service: str,
+    ) -> None:
+        self.span("replay" if walked else "access", cpu, begin, finish, {"service": service})
+        tags = {"vaddr": "0x%x" % record.vaddr, "walked": walked, "write": record.is_write}
+        self.span("record", cpu, arrival, finish, tags)
 
     # ------------------------------------------------------------------
     # Export
@@ -82,9 +132,9 @@ class EventTracer:
     def chrome_trace(self) -> List[Dict[str, Any]]:
         """Return the events as a Chrome trace-event list.
 
-        Complete spans become ``ph="X"`` events with ``ts``/``dur``;
-        instants become ``ph="i"``.  One cycle is rendered as one
-        microsecond so the timeline zoom feels natural.
+        Spans become ``ph="X"`` events with ``ts``/``dur``.  One cycle
+        is rendered as one microsecond so the timeline zoom feels
+        natural.
         """
         out: List[Dict[str, Any]] = []
         for name, cpu, begin, end, tags in self.events:
@@ -93,13 +143,9 @@ class EventTracer:
                 "pid": 0,
                 "tid": cpu,
                 "ts": begin,
+                "ph": "X",
+                "dur": max(0, end - begin),
             }
-            if end is None:
-                event["ph"] = "i"
-                event["s"] = "t"
-            else:
-                event["ph"] = "X"
-                event["dur"] = max(0, end - begin)
             if tags:
                 event["args"] = dict(tags)
             out.append(event)

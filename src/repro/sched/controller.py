@@ -142,15 +142,10 @@ class MemoryController:
         self._prefetch_dropped = stats.counter_handle("prefetch_dropped_txq_full")
         self._prefetch_cancelled = stats.counter_handle("prefetch_cancelled_late")
         self._tempo_prefetches_enqueued = stats.counter_handle("tempo_prefetches_enqueued")
-        #: Nullable utilization tracks (:mod:`repro.obs.timeline`):
-        #: per-channel bus occupancy plus the TEMPO engine's service time.
-        self._util_channels = None
-        self._util_engine = None
-
-    def attach_util(self, channel_tracks, engine_track=None):
-        """Wire busy/idle accounting into the utilization ledger."""
-        self._util_channels = list(channel_tracks)
-        self._util_engine = engine_track
+        #: Nullable :class:`repro.obs.Probe`; :meth:`_service` reports
+        #: every serviced request to it (channel, bank and TEMPO-engine
+        #: occupancy).  The system simulator installs its own probe.
+        self.probe = None
 
     # ------------------------------------------------------------------
     # Submission API (used by the system simulator)
@@ -373,10 +368,8 @@ class MemoryController:
         request.finish_time = end + self._overhead
         # Bus occupied for the burst; the bank keeps working until `end`.
         self._clock[channel] = start + self._bus_cycles
-        if self._util_channels is not None:
-            self._util_channels[channel].busy(start, start + self._bus_cycles)
-            if self._util_engine is not None and request.kind == KIND_TEMPO_PREFETCH:
-                self._util_engine.busy(start, end)
+        if self.probe is not None:
+            self.probe.on_service(channel, request, start, end)
         self.scheduler.on_scheduled(request, start)
         if self.energy is not None:
             self.energy.record_dram_access(outcome, request.is_prefetch)

@@ -41,8 +41,7 @@ class MulticoreSimulator:
     """Runs a mix shared, then each application alone."""
 
     def __init__(
-        self, config, traces, seed=None, progress=None, check_invariants=None,
-        timeline=None,
+        self, config, traces, seed=None, progress=None, check_invariants=None, probe=None
     ):
         self.config = config
         self.traces = list(traces)
@@ -52,10 +51,9 @@ class MulticoreSimulator:
         #: ``off``/``sample``/``full`` -- forwarded to every underlying
         #: :class:`SystemSimulator` (shared and alone runs alike).
         self.check_invariants = check_invariants
-        #: Optional :class:`~repro.obs.timeline.TimelineRecorder` for
-        #: the *shared* run only (alone runs would overwrite the shared
-        #: timeline's unit tracks with unrelated clocks).
-        self.timeline = timeline
+        #: Optional :class:`~repro.obs.Probe` for the *shared* run only
+        #: (alone runs would mix unrelated clocks into what it records).
+        self.probe = probe
         self.profiler = PhaseProfiler()
 
     def _announce(self, message):
@@ -76,8 +74,8 @@ class MulticoreSimulator:
                 self.config,
                 self.traces,
                 self.seed,
+                probe=self.probe,
                 check_invariants=self.check_invariants,
-                timeline=self.timeline,
             ).run(max_records)
         if alone_results is None:
             alone_results = self.run_alone(max_records)

@@ -1,5 +1,7 @@
-"""One-call experiment helpers: the public entry points most users and
-all the benchmark drivers go through."""
+"""One-call experiment helpers: the public entry points most users go
+through.  Each builds the trace, runs a :class:`SystemSimulator`
+in-process and returns its result; the figure drivers run their cells
+through an :class:`~repro.exec.ExperimentExecutor` instead."""
 
 from repro.common.config import default_system_config
 from repro.sim.metrics import energy_improvement, performance_improvement
@@ -17,94 +19,50 @@ def _resolve_trace(workload, length, seed):
     return make_trace(workload, length=length, seed=seed)
 
 
-def _can_use_executor(executor, workload, max_records, tracer, progress, timeline=None):
-    """Executor cells are whole named-workload runs with no live hooks;
-    anything else falls back to the direct path."""
-    return (
-        executor is not None
-        and isinstance(workload, str)
-        and max_records is None
-        and tracer is None
-        and progress is None
-        and timeline is None
-    )
-
-
 def run_workload(
     workload,
     config=None,
     length=20000,
     seed=0,
     max_records=None,
-    tracer=None,
-    progress=None,
-    executor=None,
+    probe=None,
     check_invariants=None,
-    timeline=None,
 ):
     """Simulate one workload (a name or a prebuilt Trace) on *config*.
 
-    *tracer* (a :class:`~repro.obs.EventTracer`) records lifecycle spans,
-    *progress* is called periodically with ``(records_done, total)``, and
-    *timeline* (a :class:`~repro.obs.timeline.TimelineRecorder`) records
-    per-unit utilization and bottleneck attribution; all default to off
-    and cost nothing when off.
-
-    *executor* (an :class:`~repro.exec.ExperimentExecutor`) routes the
-    run through the result cache when the workload is a name and no
-    live hooks are requested -- bit-identical, but reusable.
+    *probe* (a :class:`~repro.obs.Probe`, such as an
+    :class:`~repro.obs.EventTracer` or a
+    :class:`~repro.obs.timeline.TimelineRecorder`) observes the run;
+    *check_invariants* (``off``/``sample``/``full``) audits it.  Both
+    default to off and cost nothing when off.
 
     Returns a :class:`~repro.sim.metrics.SimulationResult`.
     """
     if config is None:
         config = default_system_config()
-    if _can_use_executor(executor, workload, max_records, tracer, progress, timeline):
-        from repro.exec import SimCell
-
-        return executor.run_cell(SimCell(workload, config, length, seed))
     trace = _resolve_trace(workload, length, seed)
     simulator = SystemSimulator(
-        config,
-        [trace],
-        seed=seed,
-        tracer=tracer,
-        progress=progress,
-        check_invariants=check_invariants,
-        timeline=timeline,
+        config, [trace], seed=seed, probe=probe, check_invariants=check_invariants
     )
     return simulator.run(max_records)
 
 
 def run_baseline_and_tempo(
-    workload, config=None, length=20000, seed=0, max_records=None, progress=None,
-    executor=None, check_invariants=None,
+    workload, config=None, length=20000, seed=0, max_records=None, check_invariants=None
 ):
     """Run the same trace with TEMPO off and on.
 
     Returns ``(baseline_result, tempo_result)`` -- the comparison behind
-    every performance figure in the paper.  With *executor*, the two
-    runs are submitted as one batch (so ``workers=2`` overlaps them).
+    every performance figure in the paper.
     """
     if config is None:
         config = default_system_config()
-    if _can_use_executor(executor, workload, max_records, None, progress):
-        from repro.exec import SimCell
-
-        baseline, tempo = executor.run_cells(
-            [
-                SimCell(workload, config.with_tempo(False), length, seed),
-                SimCell(workload, config.with_tempo(True), length, seed),
-            ]
-        )
-        return baseline, tempo
     trace = _resolve_trace(workload, length, seed)
     baseline = SystemSimulator(
-        config.with_tempo(False), [trace], seed=seed, progress=progress,
-        check_invariants=check_invariants,
+        config.with_tempo(False), [trace], seed=seed, check_invariants=check_invariants
     ).run(max_records)
     tempo = SystemSimulator(
-        config.with_tempo(True), [trace], seed=seed, progress=progress,
-        check_invariants=check_invariants,
+        config.with_tempo(True), [trace], seed=seed, check_invariants=check_invariants
     ).run(max_records)
     return baseline, tempo
 

@@ -43,7 +43,8 @@ from repro.mmu.mmu_cache import MmuCaches
 from repro.mmu.tlb import TlbHierarchy
 from repro.mmu.walker import PageTableWalker
 from repro.obs.manifest import RunManifest
-from repro.obs.profiler import PhaseProfiler, ProgressMeter
+from repro.obs.probe import CompositeProbe
+from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.sched.controller import MemoryController
 from repro.sched.request import KIND_DEMAND, KIND_IMP_PREFETCH, KIND_PT, MemoryRequest
@@ -79,7 +80,6 @@ class _CoreContext:
         "replay_service",
         "pending_prefetch_lines",
         "next_same_pattern",
-        "attributing",
     )
 
     def __init__(self, cpu, trace, address_space, tlb, mmu_caches, walker, imp):
@@ -100,10 +100,6 @@ class _CoreContext:
         #: In-flight IMP prefetches: line_id -> completion time.
         self.pending_prefetch_lines = {}
         self.next_same_pattern = trace.next_same_pattern() if imp is not None else None
-        #: True while a demand reference is being attributed; work
-        #: outside any reference (IMP prefetch paths) stays excluded
-        #: from the bottleneck buckets.
-        self.attributing = False
 
     @property
     def done(self):
@@ -114,17 +110,7 @@ class SystemSimulator:
     """See module docstring.  One or more traces, one shared memory
     system."""
 
-    def __init__(
-        self,
-        config,
-        traces,
-        seed=None,
-        tracer=None,
-        progress=None,
-        progress_interval=5000,
-        check_invariants=None,
-        timeline=None,
-    ):
+    def __init__(self, config, traces, seed=None, probe=None, check_invariants=None):
         if isinstance(traces, (list, tuple)):
             trace_list = list(traces)
         else:
@@ -144,32 +130,20 @@ class SystemSimulator:
             config = config.copy_with(num_cores=len(trace_list))
         self.config = config
         self.seed = seed if seed is not None else config.seed
-        #: Nullable lifecycle tracer (:class:`repro.obs.EventTracer`);
-        #: hot paths pay one ``is None`` test when it is off.
-        self.tracer = tracer
-        #: Nullable utilization/attribution recorder
-        #: (:class:`repro.obs.timeline.TimelineRecorder`); same contract
-        #: as the tracer -- the off path is a single ``is None`` test
-        #: and none of the recorded data enters ``result.stats``.
-        self.timeline = timeline
-        self._progress = progress
-        self._progress_interval = progress_interval
-        #: Nullable invariant-audit suite + flight recorder
-        #: (:mod:`repro.verify`); like the tracer, hot paths pay one
-        #: ``is None`` test when ``check_invariants`` is off.
-        self.audit = None
-        self.recorder = None
-        if check_invariants is not None and check_invariants != "off":
+        if check_invariants not in (None, "off"):
             # Imported lazily: repro.verify builds on this module.
             from repro.verify.auditor import AuditorSuite
             from repro.verify.recorder import FlightRecorder
 
-            self.recorder = FlightRecorder()
-            self.audit = AuditorSuite(
-                check_invariants,
-                recorder=self.recorder,
-                quiescent_ticks=len(trace_list) == 1,
+            recorder = FlightRecorder()
+            audit = AuditorSuite(
+                check_invariants, recorder=recorder, quiescent_ticks=len(trace_list) == 1
             )
+            probe = CompositeProbe(([] if probe is None else [probe]) + [recorder, audit])
+        #: The nullable instrumentation seam (:class:`repro.obs.Probe`):
+        #: each emission site pays one ``is None`` test when it is off,
+        #: and nothing a probe records enters ``result.stats``.
+        self.probe = probe
         self.profiler = PhaseProfiler()
         self.manifest = None
         rng = DeterministicRng(self.seed, "system")
@@ -180,6 +154,7 @@ class SystemSimulator:
         self.energy = EnergyModel(config.energy, tempo_enabled=tempo_on)
         self.engine = PrefetchEngine(config.tempo) if tempo_on else None
         self.controller = MemoryController(config, self.energy, self.engine)
+        self.controller.probe = probe
         self.stats = StatGroup("system")
         # Hot-path handles: one histogram record per page-table walk and
         # per upper-level page-table access that reaches DRAM.
@@ -211,41 +186,6 @@ class SystemSimulator:
         self._tlb_fill_latency = core_config.tlb_fill_latency
         self._mmu_latency = config.mmu_cache.latency
         self._imp_distance = config.imp.max_prefetch_distance
-        if timeline is not None:
-            self._attach_utilization(timeline.ledger)
-
-    def _attach_utilization(self, ledger):
-        """Wire every simulated unit to its utilization track; the off
-        path never reaches here, so per-unit hooks stay ``None``."""
-        cpus = range(len(self.cores))
-        self.hierarchy.attach_util(
-            [ledger.unit("core%d.l1" % cpu) for cpu in cpus],
-            [ledger.unit("core%d.l2" % cpu) for cpu in cpus],
-            ledger.unit("llc"),
-        )
-        engine_track = ledger.unit("tempo.engine") if self.engine is not None else None
-        self.controller.attach_util(
-            [
-                ledger.unit("dram.channel%d" % channel)
-                for channel in range(self.controller.num_channels)
-            ],
-            engine_track,
-        )
-        self.controller.device.attach_util(
-            [
-                ledger.unit("dram.bank%d" % index)
-                for index in range(len(self.controller.device.banks))
-            ]
-        )
-        for core in self.cores:
-            prefix = "core%d" % core.cpu
-            core.tlb.attach_util(
-                ledger.unit(prefix + ".tlb.l1"), ledger.unit(prefix + ".tlb.l2")
-            )
-            core.mmu_caches.util = ledger.unit(prefix + ".mmu_cache")
-            core.walker.util = ledger.unit(prefix + ".walker")
-            if core.imp is not None:
-                core.imp.util = ledger.unit(prefix + ".imp")
 
     @staticmethod
     def _register_regions(address_space, trace):
@@ -291,46 +231,35 @@ class SystemSimulator:
             warmup = min(limits) // 3
         warmup = min(warmup, min(limits) - 1) if min(limits) > 0 else 0
 
-        meter = None
-        if self._progress is not None:
-            meter = ProgressMeter(
-                self._progress, sum(limits), interval=self._progress_interval
-            )
         self.manifest = RunManifest(
             self.config,
             self.seed,
             [core.trace for core in self.cores],
             warmup_records=warmup,
         )
-        sampler = self.timeline.sampler if self.timeline is not None else None
-        if sampler is not None:
-            sampler.bind(lambda: self.metrics_registry().collect())
+        probe = self.probe
+        if probe is not None:
+            probe.on_start(self)
         profiler = self.profiler
         try:
             if len(self.cores) == 1:
                 profiler.begin("warmup" if warmup > 0 else "measure")
-                self._run_single(self.cores[0], limits[0], warmup, meter)
+                self._run_single(self.cores[0], limits[0], warmup)
             else:
                 profiler.begin("simulate")
-                self._run_interleaved(limits, warmup, meter)
+                self._run_interleaved(limits, warmup)
             profiler.begin("drain")
             final_time = self.controller.drain_all()
-            if self.audit is not None:
-                self.audit.checkpoint(self, quiescent=True)
+            total_cycles = max(max(core.time for core in self.cores), final_time)
+            if probe is not None:
+                probe.on_finish(self, total_cycles)
         except ReproError as exc:
             self._report_crash(exc)
             raise
         profiler.end()
-        if meter is not None:
-            meter.finish()
         self.manifest.timings = profiler.summary(
             records=sum(core.position for core in self.cores)
         )
-        if self.audit is not None:
-            self.manifest.audit = self.audit.summary()
-        total_cycles = max(max(core.time for core in self.cores), final_time)
-        if sampler is not None:
-            sampler.finish(total_cycles)
         return self._build_result(total_cycles)
 
     def _report_crash(self, exc):
@@ -344,8 +273,8 @@ class SystemSimulator:
             "positions", {core.cpu: core.position for core in self.cores}
         )
         context.setdefault("pending_requests", self.controller.pending_requests())
-        if self.recorder is not None and "flight_recorder" not in context:
-            context["flight_recorder"] = self.recorder.dump()
+        if self.probe is not None:
+            self.probe.on_error(context)
         import json
         import sys
 
@@ -370,7 +299,7 @@ class SystemSimulator:
         core.dram_refs = DramReferenceBreakdown()
         core.replay_service = ReplayServiceBreakdown()
 
-    def _run_single(self, core, limit, warmup, meter=None):
+    def _run_single(self, core, limit, warmup):
         """Single-core driver: every record starts in :meth:`_reference`,
         which serves a TLB hit's DRAM access in place through the
         controller's ``submit_and_wait``; a walk or an IMP trigger
@@ -379,8 +308,7 @@ class SystemSimulator:
         reference = self._reference
         submit = self.controller.submit_and_wait
         drive_events = self._drive_events
-        audit = self.audit
-        sampler = self.timeline.sampler if self.timeline is not None else None
+        probe = self.probe
         while core.position < limit:
             if core.position == warmup:
                 self._reset_measurement(core)
@@ -390,14 +318,10 @@ class SystemSimulator:
             if events is not None:
                 drive_events(events)
             core.position += 1
-            if meter is not None:
-                meter.tick()
-            if audit is not None:
-                audit.tick(self)
-            if sampler is not None:
-                sampler.maybe_sample(core.time)
+            if probe is not None:
+                probe.on_tick(self, core.time)
 
-    def _run_interleaved(self, limits, warmup, meter=None):
+    def _run_interleaved(self, limits, warmup):
         """Event-driven interleave of per-core streams.
 
         Cores advance until each blocks on a DRAM request (or runs out
@@ -409,8 +333,8 @@ class SystemSimulator:
         that could causally compete with it.
         """
         controller = self.controller
+        probe = self.probe
         warm_cores = 0
-        sampler = self.timeline.sampler if self.timeline is not None else None
         # Per-cpu state: ("run", generator, reply) | ("blocked",) | None;
         # a None generator means "start the core's next record".
         state = {}
@@ -453,12 +377,8 @@ class SystemSimulator:
                     if event is None:
                         # The record retired.
                         core.position += 1
-                        if meter is not None:
-                            meter.tick()
-                        if self.audit is not None:
-                            self.audit.tick(self)
-                        if sampler is not None:
-                            sampler.maybe_sample(core.time)
+                        if probe is not None:
+                            probe.on_tick(self, core.time)
                         if not has_next(core):
                             state[cpu] = None
                             break
@@ -627,28 +547,14 @@ class SystemSimulator:
         time = core.time + record.gap * self._nonmem_per_gap
         if core.pending_prefetch_lines:
             self._expire_pending_prefetches(core, time)
-        timeline = self.timeline
-        if timeline is not None:
-            timeline.attribution.begin(core.cpu, time)
-            core.attributing = True
         hit = core.tlb.lookup(vaddr)
+        if self.probe is not None:
+            self.probe.on_tlb(core.cpu, time, hit, True)
         if hit is None:
             return self._walked_record(core, record, time)
         frame, page_size, extra_latency = hit
         arrival = time
         time += 1 + extra_latency
-        if timeline is not None:
-            core.tlb.report_lookup(arrival, hit)
-            timeline.attribution.add_translation(core.cpu, 1 + extra_latency)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span(
-                "tlb_lookup",
-                core.cpu,
-                arrival,
-                time,
-                {"outcome": "l1" if extra_latency == 0 else "l2"},
-            )
         paddr = frame | (vaddr & PAGE_OFFSET_MASKS[page_size])
         begin = time
         time, result = self._probe_caches(core, record, paddr, time)
@@ -663,92 +569,15 @@ class SystemSimulator:
             if submit is None:
                 return self._regular_dram(core, record, paddr, request, arrival, begin, time)
             finish = submit(request, time)
-            self._demand_served(core, record, paddr, request, begin, time, finish, False)
-            time = finish
-        elif tracer is not None:
-            tracer.span("access", core.cpu, begin, time, {"service": result.hit_level})
-        return self._retire(core, record, arrival, time, False)
+            service = self._demand_served(core, record, paddr, request, time, finish, False)
+            return self._retire(core, record, arrival, begin, finish, False, service)
+        return self._retire(core, record, arrival, begin, time, False, result.hit_level)
 
     def _walked_record(self, core, record, arrival):
         """The rest of a record that missed the TLB (generator): the
         page walk, the replay access, and retirement."""
-        if self.timeline is not None:
-            core.tlb.report_lookup(arrival, None)
-        if self.tracer is not None:
-            self.tracer.span(
-                "tlb_lookup", core.cpu, arrival, arrival + 1, {"outcome": "miss"}
-            )
-        time, frame, page_size, leaf_pt_request = yield from self._walk(
-            core, record.vaddr, arrival
-        )
-        paddr = translate(record.vaddr, frame, page_size)
-        time = yield from self._replay(core, record, paddr, time, leaf_pt_request)
-        tail = self._retire(core, record, arrival, time, True)
-        if tail is not None:
-            yield from tail
-
-    def _regular_dram(self, core, record, paddr, request, arrival, begin, time):
-        """The rest of a TLB hit whose access missed the caches, for a
-        driver that interleaves cores (generator)."""
-        finish = yield ("dram", request, time)
-        self._demand_served(core, record, paddr, request, begin, time, finish, False)
-        tail = self._retire(core, record, arrival, finish, False)
-        if tail is not None:
-            yield from tail
-
-    def _retire(self, core, record, arrival, time, walked):
-        """Retire the record at *time*: hand the caches' dirty victims to
-        the controller, end its attribution, log it, and advance the
-        core's clock.  With an IMP prefetcher the result is the
-        generator of the IMP trigger the retirement fires; otherwise
-        None."""
-        for victim in self.hierarchy.drain_writebacks():
-            self.controller.submit_writeback(victim.paddr, core.cpu, time)
-            core.dram_refs.writeback += 1
-        if self.timeline is not None:
-            # The reference retires here; the IMP trigger after it runs
-            # outside it and stays out of the buckets.
-            self.timeline.attribution.end(core.cpu, time)
-            core.attributing = False
-        if self.tracer is not None:
-            self.tracer.span(
-                "record",
-                core.cpu,
-                arrival,
-                time,
-                {
-                    "vaddr": "0x%x" % record.vaddr,
-                    "walked": walked,
-                    "write": record.is_write,
-                },
-            )
-        if self.recorder is not None:
-            self.recorder.record(
-                "ref",
-                cpu=core.cpu,
-                vaddr=record.vaddr,
-                time=time,
-                walked=walked,
-                write=record.is_write,
-            )
-        core.time = time
-        if core.imp is not None:
-            return self._imp_trigger(core, record, time)
-        return None
-
-    # -- translation ----------------------------------------------------
-
-    def _walk(self, core, vaddr, time):
-        """Execute a page-table walk; returns
-        ``(time, frame, page_size, leaf_pt_request_or_None)`` where the
-        request is non-None only when the leaf access reached DRAM."""
-        tracer = self.tracer
-        timeline = self.timeline
-        attribution = timeline.attribution if timeline is not None else None
-        begin = time
-        time += 1  # TLB probe that missed
-        if attribution is not None:
-            attribution.add_translation(core.cpu, 1)
+        vaddr = record.vaddr
+        time = arrival + 1  # TLB probe that missed
         plan = core.walker.plan(vaddr)
         if plan.faulted:
             # Demand paging: the OS maps the page (steady-state traces,
@@ -765,82 +594,76 @@ class SystemSimulator:
                         "leaf_level": plan.leaf_level,
                     },
                 )
+        time, leaf_pt_request = yield from self._walk(core, plan, arrival, time, True)
+        self._walk_hist.record(time - arrival)
+        paddr = translate(vaddr, plan.entry.frame_paddr, plan.entry.page_size)
+        begin = time
+        time, service = yield from self._replay(core, record, paddr, time, leaf_pt_request)
+        tail = self._retire(core, record, arrival, begin, time, True, service)
+        if tail is not None:
+            yield from tail
+
+    def _regular_dram(self, core, record, paddr, request, arrival, begin, time):
+        """The rest of a TLB hit whose access missed the caches, for a
+        driver that interleaves cores (generator)."""
+        finish = yield ("dram", request, time)
+        service = self._demand_served(core, record, paddr, request, time, finish, False)
+        tail = self._retire(core, record, arrival, begin, finish, False, service)
+        if tail is not None:
+            yield from tail
+
+    def _retire(self, core, record, arrival, begin, time, walked, service):
+        """Retire the record at *time*: hand the caches' dirty victims to
+        the controller, report it, and advance the core's clock.  With
+        an IMP prefetcher the result is the generator of the IMP trigger
+        the retirement fires; otherwise None."""
+        for victim in self.hierarchy.drain_writebacks():
+            self.controller.submit_writeback(victim.paddr, core.cpu, time)
+            core.dram_refs.writeback += 1
+        if self.probe is not None:
+            self.probe.on_ref(core.cpu, record, arrival, begin, time, walked, service)
+        core.time = time
+        if core.imp is not None:
+            return self._imp_trigger(core, record, time)
+        return None
+
+    # -- translation ----------------------------------------------------
+
+    def _walk(self, core, plan, begin, time, demand):
+        """Perform *plan*'s memory references from *time*, then complete
+        the walk and fill the TLB (generator).  Shared by demand walks
+        and IMP's prefetch walks (*demand* False).  Returns ``(time,
+        leaf_pt_request_or_None)``; the request is non-None only when
+        the leaf access reached DRAM."""
+        probe = self.probe
         leaf_pt_request = None
         for step in plan.steps:
             if step.from_mmu_cache:
-                if timeline is not None:
-                    core.mmu_caches.occupy(time, time + self._mmu_latency)
-                    attribution.add_translation(core.cpu, self._mmu_latency)
-                if tracer is not None:
-                    tracer.span(
-                        "mmu_cache",
-                        core.cpu,
-                        time,
-                        time + self._mmu_latency,
-                        {"level": step.level},
+                if probe is not None:
+                    probe.on_mmu_step(
+                        core.cpu, time, time + self._mmu_latency, step.level, demand
                     )
                 time += self._mmu_latency
                 continue
-            time, dram_request = yield from self._fetch_pt_entry(core, plan, step, time)
+            time, dram_request = yield from self._fetch_pt_entry(core, plan, step, time, demand)
             if step.is_leaf and dram_request is not None:
                 leaf_pt_request = dram_request
                 core.dram_refs.walks_with_dram_leaf += 1
         core.walker.complete(plan)
-        frame = plan.entry.frame_paddr
-        page_size = plan.entry.page_size
-        core.tlb.fill(vaddr, frame, page_size)
+        core.tlb.fill(plan.vaddr, plan.entry.frame_paddr, plan.entry.page_size)
         time += self._tlb_fill_latency
-        if timeline is not None:
-            attribution.add_translation(core.cpu, self._tlb_fill_latency)
-            core.walker.occupy(begin, time)
-        self._walk_hist.record(time - begin)
-        if self.recorder is not None:
-            self.recorder.record(
-                "walk",
-                cpu=core.cpu,
-                vaddr=vaddr,
-                begin=begin,
-                end=time,
-                levels=len(plan.steps),
-                leaf_dram=leaf_pt_request is not None,
-                page_size=page_size,
-            )
-        if tracer is not None:
-            tracer.span(
-                "walk",
-                core.cpu,
-                begin,
-                time,
-                {
-                    "levels": len(plan.steps),
-                    "leaf_dram": leaf_pt_request is not None,
-                    "page_size": page_size,
-                },
-            )
-        return time, frame, page_size, leaf_pt_request
+        if probe is not None:
+            probe.on_walk(core.cpu, begin, time, plan, leaf_pt_request, demand)
+        return time, leaf_pt_request
 
-    def _fetch_pt_entry(self, core, plan, step, time):
+    def _fetch_pt_entry(self, core, plan, step, time, demand):
         """One walk memory reference through caches (and maybe DRAM)."""
-        tracer = self.tracer
-        timeline = self.timeline
         begin = time
         result = self.hierarchy.access(core.cpu, step.entry_paddr)
-        if timeline is not None:
-            # Occupancy is always real; attribution only applies inside
-            # a demand reference (IMP walks share this path).
-            self.hierarchy.report_probe(core.cpu, result, time)
-            if core.attributing:
-                timeline.attribution.add_translation(core.cpu, result.latency)
         time += result.latency
         if not result.needs_dram:
-            if tracer is not None:
-                tracer.span(
-                    "pt_access",
-                    core.cpu,
-                    begin,
-                    time,
-                    {"level": step.level, "hit": result.hit_level},
-                )
+            if self.probe is not None:
+                self.probe.on_pt_step(core.cpu, begin, time, step.level, result, None, demand)
             return time, None
         request = MemoryRequest(
             cache_line_base(step.entry_paddr),
@@ -853,10 +676,7 @@ class SystemSimulator:
             replay_line_index=plan.replay_line_index,
         )
         finish = yield ("dram", request, time)
-        dram_cycles = finish - time
-        if timeline is not None and core.attributing:
-            timeline.attribution.add_dram(core.cpu, dram_cycles)
-        core.runtime.dram_ptw_cycles += dram_cycles
+        core.runtime.dram_ptw_cycles += finish - time
         if step.is_leaf:
             core.dram_refs.ptw_leaf += 1
         else:
@@ -864,32 +684,8 @@ class SystemSimulator:
             self._ptw_dram_upper_level.record(step.level)
         self.hierarchy.fill_from_memory(core.cpu, step.entry_paddr)
         self.energy.record_llc_fill()
-        if self.recorder is not None:
-            self.recorder.record(
-                "dram",
-                cpu=core.cpu,
-                kind="pt",
-                paddr=request.paddr,
-                leaf=step.is_leaf,
-                level=step.level,
-                outcome=request.outcome,
-                finish=finish,
-            )
-        if tracer is not None:
-            tracer.span(
-                "pt_access",
-                core.cpu,
-                begin,
-                finish,
-                {"level": step.level, "hit": "dram"},
-            )
-            tracer.span(
-                "dram",
-                core.cpu,
-                time,
-                finish,
-                {"kind": "pt", "leaf": step.is_leaf, "outcome": request.outcome},
-            )
+        if self.probe is not None:
+            self.probe.on_pt_step(core.cpu, begin, finish, step.level, result, request, demand)
         return finish, request
 
     # -- post-translation access -----------------------------------------
@@ -898,25 +694,19 @@ class SystemSimulator:
         """Probe the caches for a post-translation access, after waiting
         out an in-flight IMP prefetch of the same line (MSHR merge).
         Returns ``(time, result)``."""
-        timeline = self.timeline
+        begin = time
         if core.pending_prefetch_lines:
             pending_completion = core.pending_prefetch_lines.pop(paddr & LINE_MASK, None)
             if pending_completion is not None and pending_completion > time:
-                if timeline is not None:
-                    timeline.attribution.add_dram(core.cpu, pending_completion - time)
                 time = pending_completion
         result = self.hierarchy.access(core.cpu, paddr, record.is_write)
-        if timeline is not None:
-            self.hierarchy.report_probe(core.cpu, result, time)
-            timeline.attribution.add_cache(core.cpu, result.latency)
+        if self.probe is not None:
+            self.probe.on_cache(core.cpu, begin, time, result, True)
         return time + result.latency, result
 
     def _replay(self, core, record, paddr, time, leaf_pt_request):
         """The replay access after a walk (generator); returns its
-        finish time."""
-        tracer = self.tracer
-        timeline = self.timeline
-        begin = time
+        finish time and how it was served."""
         tempo_active = self.engine is not None and leaf_pt_request is not None
         outcome = None
         if tempo_active:
@@ -931,34 +721,22 @@ class SystemSimulator:
                 and outcome.llc_ready_at is not None
                 and outcome.llc_ready_at <= llc_lookup_time
             ):
-                # Timely LLC prefetch: the replay hits in the LLC.
+                # Timely LLC prefetch: the replay hits in the LLC, and
+                # its DRAM time was hidden by the prefetch.
                 self.hierarchy.prefetch_fill_llc(cache_line_base(paddr))
                 self.energy.record_llc_fill()
-                probe = self.hierarchy.access(core.cpu, paddr, record.is_write)
+                result = self.hierarchy.access(core.cpu, paddr, record.is_write)
                 core.replay_service.llc += 1
-                if timeline is not None:
-                    # The replay's DRAM time was hidden by the timely
-                    # prefetch; what remains is pure overlap win.
-                    self.hierarchy.report_probe(core.cpu, probe, time)
-                    timeline.attribution.add_overlap(core.cpu, probe.latency)
-                if tracer is not None:
-                    tracer.span(
-                        "replay",
-                        core.cpu,
-                        begin,
-                        time + probe.latency,
-                        {"service": "llc_prefetch"},
-                    )
-                return time + probe.latency
+                if self.probe is not None:
+                    self.probe.on_overlap(core.cpu, time, result)
+                return time + result.latency, "llc_prefetch"
 
         time, result = self._probe_caches(core, record, paddr, time)
         if not result.needs_dram:
             if tempo_active:
                 # Served on-chip anyway; count with the LLC bucket.
                 core.replay_service.llc += 1
-            if tracer is not None:
-                tracer.span("replay", core.cpu, begin, time, {"service": result.hit_level})
-            return time
+            return time, result.hit_level
 
         if tempo_active and outcome is None:
             # The prefetch never got serviced in time; it is useless now.
@@ -971,10 +749,10 @@ class SystemSimulator:
             enqueue_time=time,
         )
         finish = yield ("dram", request, time)
-        self._demand_served(
-            core, record, paddr, request, begin, time, finish, True, leaf_pt_request, outcome
+        service = self._demand_served(
+            core, record, paddr, request, time, finish, True, leaf_pt_request, outcome
         )
-        return finish
+        return finish, service
 
     def _demand_served(
         self,
@@ -982,7 +760,6 @@ class SystemSimulator:
         record,
         paddr,
         request,
-        begin,
         time,
         finish,
         walked,
@@ -991,12 +768,8 @@ class SystemSimulator:
     ):
         """Account a post-translation access DRAM served between *time*
         and *finish*: fill the caches, then charge a replay (*walked*)
-        or a regular access."""
-        tracer = self.tracer
-        timeline = self.timeline
+        or a regular access.  Returns how DRAM served it."""
         dram_cycles = finish - time
-        if timeline is not None:
-            timeline.attribution.add_dram(core.cpu, dram_cycles)
         self.hierarchy.fill_from_memory(core.cpu, paddr, record.is_write)
         self.energy.record_llc_fill()
 
@@ -1021,31 +794,9 @@ class SystemSimulator:
         else:
             core.runtime.dram_other_cycles += dram_cycles
             core.dram_refs.other += 1
-        if self.recorder is not None:
-            self.recorder.record(
-                "dram",
-                cpu=core.cpu,
-                kind="demand",
-                paddr=request.paddr,
-                outcome=request.outcome,
-                service=service,
-                finish=finish,
-            )
-        if tracer is not None:
-            tracer.span(
-                "dram",
-                core.cpu,
-                time,
-                finish,
-                {"kind": "demand", "outcome": request.outcome},
-            )
-            tracer.span(
-                "replay" if walked else "access",
-                core.cpu,
-                begin,
-                finish,
-                {"service": service},
-            )
+        if self.probe is not None:
+            self.probe.on_dram(core.cpu, request, time, finish, service)
+        return service
 
     # -- IMP prefetching ---------------------------------------------------
 
@@ -1081,11 +832,15 @@ class SystemSimulator:
         miss, a full walk whose leaf-PT DRAM access triggers TEMPO --
         then fetches the data line.  The core does not stall; instead
         the completion time gates when the prefetched line becomes
-        usable (MSHR-style merge in :meth:`_probe_caches`).
+        usable (MSHR-style merge in :meth:`_probe_caches`).  The probe
+        sees its occupancy but no attribution: it runs outside any
+        reference.
         """
-        timeline = self.timeline
+        probe = self.probe
         path_time = time
         hit = core.tlb.lookup(vaddr)
+        if probe is not None:
+            probe.on_tlb(core.cpu, time, hit, False)
         leaf_pt_request = None
         if hit is not None:
             frame, page_size, extra_latency = hit
@@ -1096,21 +851,11 @@ class SystemSimulator:
                 # Prefetching must not fault pages in; drop it.
                 core.imp.stats.counter("dropped_unmapped").add()
                 return
-            for step in plan.steps:
-                if step.from_mmu_cache:
-                    path_time += self._mmu_latency
-                    continue
-                path_time, dram_request = yield from self._fetch_pt_entry(
-                    core, plan, step, path_time
-                )
-                if step.is_leaf and dram_request is not None:
-                    leaf_pt_request = dram_request
-                    core.dram_refs.walks_with_dram_leaf += 1
-            core.walker.complete(plan)
+            path_time, leaf_pt_request = yield from self._walk(
+                core, plan, time, path_time, False
+            )
             frame = plan.entry.frame_paddr
             page_size = plan.entry.page_size
-            core.tlb.fill(vaddr, frame, page_size)
-            path_time += self._tlb_fill_latency
         paddr = translate(vaddr, frame, page_size)
         line = cache_line_base(paddr)
         if line in core.pending_prefetch_lines:
@@ -1131,13 +876,13 @@ class SystemSimulator:
                 self.energy.record_llc_fill()
                 core.replay_service.llc += 1
                 core.pending_prefetch_lines[line] = llc_lookup_time
-                if timeline is not None:
-                    core.imp.occupy(time, llc_lookup_time)
+                if probe is not None:
+                    probe.on_prefetch(core.cpu, time, llc_lookup_time)
                 return
 
         result = self.hierarchy.access(core.cpu, paddr)
-        if timeline is not None:
-            self.hierarchy.report_probe(core.cpu, result, path_time)
+        if probe is not None:
+            probe.on_cache(core.cpu, path_time, path_time, result, False)
         path_time += result.latency
         if result.needs_dram:
             request = MemoryRequest(
@@ -1153,5 +898,5 @@ class SystemSimulator:
             self.energy.record_llc_fill()
             core.dram_refs.prefetch += 1
         core.pending_prefetch_lines[line] = path_time
-        if timeline is not None:
-            core.imp.occupy(time, path_time)
+        if probe is not None:
+            probe.on_prefetch(core.cpu, time, path_time)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.common.errors import InvariantViolation
+from repro.obs.probe import Probe
 from repro.verify.recorder import FlightRecorder
 
 #: Row-buffer outcomes a serviced request can see (repro.dram.bank).
@@ -506,12 +507,14 @@ def default_auditors() -> List[InvariantAuditor]:
     ]
 
 
-class AuditorSuite:
+class AuditorSuite(Probe):
     """Drives the auditors at a record-count cadence.
 
-    ``full`` checkpoints every :data:`FULL_INTERVAL` records, ``sample``
-    every :data:`SAMPLE_INTERVAL`; both run a final quiescent checkpoint
-    after the controller drains.  The first violation found raises
+    A :class:`~repro.obs.probe.Probe`: ``full`` checkpoints every
+    :data:`FULL_INTERVAL` retired records, ``sample`` every
+    :data:`SAMPLE_INTERVAL`; both run a final quiescent checkpoint after
+    the controller drains and then put :meth:`summary` on the run
+    manifest.  The first violation found raises
     :class:`~repro.common.errors.InvariantViolation` with the flight
     recorder's dump attached under ``context["flight_recorder"]``.
     """
@@ -545,12 +548,16 @@ class AuditorSuite:
         self.violations_found = 0
         self._since_checkpoint = 0
 
-    def tick(self, machine: Any) -> None:
+    def on_tick(self, machine: Any, time: int) -> None:
         """One record retired; checkpoint when the interval elapses."""
         self.ticks += 1
         self._since_checkpoint += 1
         if self._since_checkpoint >= self.interval:
             self.checkpoint(machine, quiescent=self.quiescent_ticks)
+
+    def on_finish(self, machine: Any, cycles: int) -> None:
+        self.checkpoint(machine, quiescent=True)
+        machine.manifest.audit = self.summary()
 
     def checkpoint(self, machine: Any, quiescent: bool = False) -> None:
         """Run every auditor; raise on the first violation."""

@@ -319,6 +319,6 @@ def test_system_fast_path_matches_event_engine():
         trace = make_trace(name, length=1200, seed=0)
         fast = SystemSimulator(config, [trace], seed=0).run()
         traced = SystemSimulator(
-            config, [trace], seed=0, tracer=EventTracer(limit=16)
+            config, [trace], seed=0, probe=EventTracer(limit=16)
         ).run()
         _assert_identical(fast, traced)

@@ -1,18 +1,20 @@
 """Tests for the observability layer (repro.obs)."""
 
 import json
+from dataclasses import replace
 
 from repro.common.config import default_system_config
 from repro.obs import (
+    CompositeProbe,
     EventTracer,
     MetricsRegistry,
     PhaseProfiler,
     RunManifest,
+    TimelineRecorder,
     write_stats_csv,
     write_stats_json,
 )
 from repro.obs.manifest import config_hash
-from repro.obs.profiler import ProgressMeter
 from repro.common.stats import StatGroup
 from repro.sim.multicore import MulticoreSimulator
 from repro.sim.runner import run_workload
@@ -25,16 +27,14 @@ from repro.workloads.registry import make_trace
 # ----------------------------------------------------------------------
 
 
-def test_tracer_records_spans_and_instants():
+def test_tracer_records_spans():
     tracer = EventTracer()
     tracer.span("walk", 0, 100, 250, {"levels": 4})
-    tracer.instant("marker", 1, 300)
     events = tracer.chrome_trace()
-    assert len(events) == 2
-    span, instant = events
+    assert len(events) == 1
+    (span,) = events
     assert span["ph"] == "X" and span["ts"] == 100 and span["dur"] == 150
     assert span["tid"] == 0 and span["args"] == {"levels": 4}
-    assert instant["ph"] == "i" and instant["ts"] == 300 and instant["tid"] == 1
 
 
 def test_tracer_limit_counts_drops():
@@ -116,7 +116,7 @@ def test_manifest_hash_tracks_config_changes():
 
 
 # ----------------------------------------------------------------------
-# PhaseProfiler / ProgressMeter
+# PhaseProfiler
 # ----------------------------------------------------------------------
 
 
@@ -130,26 +130,6 @@ def test_profiler_accumulates_phases():
     assert set(summary) >= {"wall_seconds", "wall_seconds.a", "wall_seconds.b"}
     assert summary["records"] == 1000
     assert summary["records_per_second"] >= 0.0
-
-
-def test_progress_meter_rate_limits():
-    calls = []
-    meter = ProgressMeter(lambda done, total: calls.append((done, total)), 100, interval=40)
-    for _ in range(100):
-        meter.tick()
-    meter.finish()
-    assert calls[-1] == (100, 100)
-    assert len(calls) <= 4  # 40, 80, finish (plus at most one boundary)
-
-
-def test_progress_meter_defaults_to_stderr(capsys):
-    meter = ProgressMeter(None, 50, interval=25)
-    for _ in range(50):
-        meter.tick()
-    meter.finish()
-    captured = capsys.readouterr()
-    assert captured.out == ""  # stdout stays clean for results
-    assert "progress: 50/50 records" in captured.err
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +157,7 @@ def test_run_harvests_per_core_stats_and_manifest():
 def test_run_with_tracer_emits_lifecycle_spans():
     tracer = EventTracer()
     trace = make_trace("bzip2_small", length=400, seed=2)
-    run_workload(trace, length=400, seed=2, tracer=tracer)
+    run_workload(trace, length=400, seed=2, probe=tracer)
     names = {event[0] for event in tracer.events}
     assert {"record", "tlb_lookup"} <= names
     assert "walk" in names  # bzip2_small misses the TLB at this length
@@ -185,28 +165,42 @@ def test_run_with_tracer_emits_lifecycle_spans():
     assert all(e[3] is None or e[3] >= e[2] for e in tracer.events)
 
 
+def _comparable(stats):
+    """Stats minus the host wall-clock keys, which differ between any
+    two runs."""
+    return {k: v for k, v in stats.items() if not k.startswith("manifest.timing.")}
+
+
 def test_tracer_does_not_change_timing():
     trace = make_trace("bzip2_small", length=500, seed=4)
     plain = run_workload(trace, length=500, seed=4)
     trace2 = make_trace("bzip2_small", length=500, seed=4)
-    traced = run_workload(trace2, length=500, seed=4, tracer=EventTracer())
+    traced = run_workload(trace2, length=500, seed=4, probe=EventTracer())
     assert plain.total_cycles == traced.total_cycles
+    assert _comparable(plain.stats) == _comparable(traced.stats)
 
 
-def test_progress_callback_fires():
-    calls = []
-    trace = make_trace("bzip2_small", length=400, seed=5)
-    simulator = SystemSimulator(
-        default_system_config(),
+def test_all_probes_at_once_do_not_change_results():
+    # Tracer, timeline and the full audit (with its flight recorder) on
+    # one run, TEMPO and IMP on so every event fires, against a run
+    # with no probe at all.
+    config = default_system_config()
+    config = config.copy_with(imp=replace(config.imp, enabled=True))
+    trace = make_trace("graph500", length=1500, seed=4)
+    plain = SystemSimulator(config, [trace], seed=4)
+    assert plain.probe is None
+    observed = SystemSimulator(
+        config,
         [trace],
-        seed=5,
-        progress=lambda done, total: calls.append((done, total)),
-        progress_interval=100,
+        seed=4,
+        probe=CompositeProbe([EventTracer(), TimelineRecorder()]),
+        check_invariants="full",
     )
-    simulator.run()
-    assert calls, "progress callback never fired"
-    total = len(trace.records)
-    assert calls[-1] == (total, total)
+    plain_result = plain.run()
+    observed_result = observed.run()
+    assert plain_result.total_cycles == observed_result.total_cycles
+    assert _comparable(plain_result.stats) == _comparable(observed_result.stats)
+    assert observed_result.manifest.audit["violations"] == 0
 
 
 def test_multicore_timings_and_progress():

@@ -13,10 +13,12 @@ The load-bearing guarantees:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.common.config import default_system_config
+from repro.obs import CompositeProbe, EventTracer
 from repro.obs.timeline import (
     BottleneckAttributor,
     IntervalSampler,
@@ -31,6 +33,7 @@ from repro.obs.timeline import (
 )
 from repro.sim.multicore import MulticoreSimulator
 from repro.sim.runner import run_workload
+from repro.sim.system import SystemSimulator
 from repro.workloads.registry import make_trace
 
 WORKLOAD = "xsbench"
@@ -191,17 +194,53 @@ def test_stats_bit_identical_with_timeline_off_vs_on():
     config = default_system_config()
     plain = run_workload(WORKLOAD, config, length=LENGTH, seed=3)
     recorded = run_workload(
-        WORKLOAD, config, length=LENGTH, seed=3, timeline=TimelineRecorder()
+        WORKLOAD, config, length=LENGTH, seed=3, probe=TimelineRecorder()
     )
     assert plain.total_cycles == recorded.total_cycles
     assert _comparable(plain.stats) == _comparable(recorded.stats)
 
 
 def test_timeline_off_is_a_single_none_check():
-    # The off path must stay literally ``timeline is None``: no ledger,
-    # no attribution state.
-    result = run_workload(WORKLOAD, default_system_config(), length=300)
-    assert result is not None  # smoke: nothing raised without a recorder
+    # The off path must stay literally ``probe is None``: no ledger, no
+    # attribution state, and an audit mode of "off" attaches nothing.
+    trace = make_trace(WORKLOAD, length=300, seed=0)
+    for mode in (None, "off"):
+        simulator = SystemSimulator(default_system_config(), [trace], check_invariants=mode)
+        assert simulator.probe is None and simulator.controller.probe is None
+        assert simulator.run() is not None  # smoke: nothing raised without a probe
+
+
+# ----------------------------------------------------------------------
+# IMP prefetch work
+
+
+def test_imp_prefetch_work_is_in_the_utilization_ledger():
+    # IMP's prefetch path looks up the TLB, and on a miss walks the page
+    # table, on its own clock: each of those lookups keeps the L1 TLB
+    # busy for one cycle, so the L1 TLB's busy cycles count every
+    # lookup, demand and prefetch alike.
+    config = default_system_config()
+    config = config.copy_with(imp=replace(config.imp, enabled=True))
+    traces = [
+        make_trace("graph500", length=1500, seed=0),
+        make_trace("spmv", length=1500, seed=0),
+    ]
+    recorder = TimelineRecorder()
+    tracer = EventTracer()
+    probe = CompositeProbe([recorder, tracer])
+    result = SystemSimulator(config, traces, seed=0, probe=probe).run()
+    units = recorder.ledger.units
+    for cpu in range(len(traces)):
+        stats = result.stats
+        prefix = "core%d.tlb." % cpu
+        lookups = sum(stats[prefix + key] for key in ("l1_hits", "l2_hits", "misses"))
+        assert stats["core%d.imp.prefetches_issued" % cpu] > 0
+        assert units["core%d.tlb.l1" % cpu].busy_cycles == lookups
+    # Prefetch work stays out of the bottleneck buckets and the spans.
+    references = sum(len(t.records) for t in traces)
+    assert recorder.attribution.references == references
+    assert recorder.attribution.unattributed_cycles == 0
+    assert sum(1 for event in tracer.events if event[0] == "tlb_lookup") == references
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +268,7 @@ def test_multicore_shared_run_conserves_attribution():
         make_trace("gcc_small", length=400, seed=1),
     ]
     recorder = TimelineRecorder(interval=512)
-    MulticoreSimulator(config, traces, timeline=recorder).run()
+    MulticoreSimulator(config, traces, probe=recorder).run()
     attribution = recorder.attribution
     # One attribution record per shared-run reference (trace lengths
     # are approximate: the generators round to scan/stride boundaries).

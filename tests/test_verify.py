@@ -16,6 +16,7 @@ from repro.common.errors import ConfigError, InvariantViolation, SimulationError
 from repro.exec import ExperimentExecutor, ResultCache, SimCell
 from repro.exec.cache import QuarantineReason
 from repro.exec.resilience import CellExecutionError, ResiliencePolicy
+from repro.obs import CompositeProbe
 from repro.sim.runner import run_workload
 from repro.sim.system import SystemSimulator
 from repro.verify import (
@@ -200,7 +201,6 @@ def test_suite_rejects_unknown_mode():
 def test_violation_during_run_dumps_crash_report(capsys):
     config = default_system_config().with_tempo(True)
     trace = make_trace(WORKLOAD, length=LENGTH, seed=0)
-    sim = SystemSimulator(config, [trace], seed=0, check_invariants="full")
 
     class PlantedFailure(InvariantAuditor):
         name = "planted"
@@ -208,7 +208,11 @@ def test_violation_during_run_dumps_crash_report(capsys):
         def audit(self, machine, quiescent=False):
             yield Violation("planted", "always", "planted failure")
 
-    sim.audit.auditors.append(PlantedFailure())
+    # What ``check_invariants="full"`` attaches, plus the planted auditor.
+    recorder = FlightRecorder()
+    suite = AuditorSuite("full", recorder=recorder)
+    suite.auditors.append(PlantedFailure())
+    sim = SystemSimulator(config, [trace], seed=0, probe=CompositeProbe([recorder, suite]))
     with pytest.raises(InvariantViolation) as info:
         sim.run()
     assert "flight_recorder" in info.value.context
@@ -282,9 +286,6 @@ def test_flight_recorder_bounds_and_dump():
     assert [event["i"] for event in dump["events"]] == [6, 7, 8, 9]
     assert dump["capacity"] == 4 and dump["dropped"] == 6
     json.dumps(dump)  # must be serialisable as-is
-    recorder.clear()
-    assert len(recorder) == 0
-    assert recorder.recorded == 10  # totals survive a clear
 
 
 def test_flight_recorder_rejects_bad_capacity():
