@@ -84,10 +84,6 @@ class Bank:
             self._refresh_counter.value += 1
         return start
 
-    def _row_key(self, row):
-        """Globally unique predictor key for (bank, row)."""
-        return row * self.total_banks + self.bank_id
-
     def effective_open_row(self, now):
         """The row that is *actually* open at time *now*, accounting for
         the policy's auto-close."""
@@ -147,20 +143,22 @@ class Bank:
             outcome = OUTCOME_CONFLICT
             latency = self._timing.row_conflict_cycles
 
-        if prev_row is not None and prev_row != row:
+        # The predictor's key for (bank, row), unique across banks.
+        key = row * self.total_banks + self.bank_id
+        if prev_row is not None and (prev_row != row or not was_open):
             # Teach the adaptive predictor about the transition it just
-            # experienced (and about missed-hit reopenings).
-            self._policy.record_transition(self._row_key(prev_row), self._row_key(row), was_open)
-        elif prev_row == row and not was_open:
-            # Same row, but it had auto-closed: a hit became a miss.
-            self._policy.record_transition(self._row_key(prev_row), self._row_key(row), was_open)
+            # experienced, or about a missed hit: the same row, but it
+            # had auto-closed.
+            self._policy.record_transition(
+                prev_row * self.total_banks + self.bank_id, key, was_open
+            )
 
         if latency_override is not None:
             latency = latency_override
         end = start + latency
         self.ready_at = end
         self.open_row = row
-        close_at = self._policy.close_time(self._row_key(row), end)
+        close_at = self._policy.close_time(key, end)
         if keep_open_extra is not None and close_at is not None:
             close_at = max(close_at, end + keep_open_extra)
         self.auto_close_at = close_at
@@ -217,13 +215,7 @@ class DramDevice:
         :meth:`AddressMap.decode`, which the memory controller runs once
         per request); returns ``(start, end, outcome)``."""
         return self.banks[bank_index].access(
-            row,
-            now,
-            keep_open_extra,
-            cpu=cpu,
-            is_prefetch=is_prefetch,
-            row_offset=row_offset,
-            latency_override=latency_override,
+            row, now, keep_open_extra, cpu, is_prefetch, row_offset, latency_override
         )
 
     def classify(self, paddr, now):

@@ -21,6 +21,15 @@ the requests it may choose from.  ``enqueue`` decodes each request's
 DRAM coordinates once and stores them on it; picks, reservations and
 the access itself read them from there.
 
+Most of the time a channel holds one request, and the controller skips
+the queue work for it.  A ``submit_and_wait`` request that finds both of
+its channel's lists empty is served on arrival: ``enqueue`` still sees
+it, and if the scheduler's ``pick_lone`` takes it at the channel clock it
+goes straight to service.  Otherwise it waits in the queue as usual.
+Whenever a list offered to the scheduler holds one request, the pick
+goes through ``pick_lone`` instead of the policy's scan.  Either way the
+choice, the timing and every counter are those of ``pick``.
+
 TEMPO hooks, all active only when a :class:`~repro.core.prefetch_engine.
 PrefetchEngine` is installed:
 
@@ -182,7 +191,9 @@ class MemoryController:
         return True
 
     def submit_and_wait(self, request, now):
-        """Blocking demand path: enqueue, drain until serviced.
+        """Blocking demand path: enqueue, then serve on arrival when the
+        request is alone on its channel and eligible, else drain until
+        serviced.
 
         Returns the completion time as seen by the core (service end +
         controller/NoC overhead), or ``None`` when a prefetch-kind
@@ -193,6 +204,19 @@ class MemoryController:
         channel = request.channel
         if self._clock[channel] < now:
             self._clock[channel] = now
+        now = self._clock[channel]
+        queue = self._queues[channel]
+        writebacks = self._writebacks[channel]
+        if len(queue) + len(writebacks) == 1:
+            # Alone on an idle channel: serve it on arrival when the
+            # scheduler takes it now (what _service_next would do).
+            context = self._context
+            context.now = now
+            if self.scheduler.pick_lone(request, now, context) is not None:
+                (queue or writebacks).pop()
+                self._slots_used[channel] -= request.slots()
+                self._service(channel, request)
+                return request.finish_time
         while request.finish_time is None:
             self._service_next(channel)
         return request.finish_time
@@ -301,15 +325,20 @@ class MemoryController:
     def _pick(self, channel, now):
         """The scheduler's choice at *now*, or None when nothing is
         eligible.  Writebacks are offered only when no other request is,
-        so each ``pick`` sees one of the two lists."""
+        so each ``pick`` sees one of the two lists; a list of one goes
+        to ``pick_lone``."""
         context = self._context
         context.now = now
-        queue = self._queues[channel]
-        request = self.scheduler.pick(queue, now, context) if queue else None
-        writebacks = self._writebacks[channel]
-        if request is None and writebacks:
-            request = self.scheduler.pick(writebacks, now, context)
-        return request
+        scheduler = self.scheduler
+        request = None
+        for pending in (self._queues[channel], self._writebacks[channel]):
+            if len(pending) == 1:
+                request = scheduler.pick_lone(pending[0], now, context)
+            elif pending:
+                request = scheduler.pick(pending, now, context)
+            if request is not None:
+                return request
+        return None
 
     def _service_next(self, channel):
         """Schedule and service exactly one request on *channel*."""
@@ -358,10 +387,10 @@ class MemoryController:
             request.row,
             self._clock[channel],
             keep_open_extra,
-            cpu=request.cpu,
-            is_prefetch=request.is_prefetch,
-            row_offset=request.row_offset,
-            latency_override=latency_override,
+            request.cpu,
+            request.is_prefetch,
+            request.row_offset,
+            latency_override,
         )
         request.start_time = start
         request.outcome = outcome
@@ -381,12 +410,11 @@ class MemoryController:
         self._latency_hists[kind].record(request.finish_time - request.enqueue_time)
         if kind == KIND_PT and request.pt_leaf:
             self._served_pt_leaf.value += 1
-        self._post_service_hooks(request, end)
+        if self.engine is not None:
+            self._post_service_hooks(request, end)
         return request
 
     def _post_service_hooks(self, request, end):
-        if self.engine is None:
-            return
         if request.kind == KIND_PT and request.tempo_tagged:
             prefetch = self.engine.build_prefetch(request, end)
             if prefetch is not None:

@@ -2,8 +2,22 @@
 (Subramanian et al. [23, 24]), and TEMPO's transaction-queue grouping
 wrapper (paper Sec. 4.3b).
 
-A scheduler picks the next request to service from a channel's pending
-list.  The controller supplies a *context* with two predicates:
+A scheduler has three methods:
+
+``pick(pending, now, context)``
+    Choose the next request to service from a channel's pending list.
+``pick_lone(request, now, context)``
+    The same choice from a list of one, without the scan.  It returns
+    exactly what ``pick([request], now, context)`` returns and leaves the
+    policy in exactly the state that call would: periodic checks (BLISS's
+    clearing, ATLAS's quantum) and counters included, also when the
+    request is not eligible.  ``pick`` is its reference.  The controller
+    calls it for a request that arrives at an idle channel and whenever
+    the list it offers holds one request, which together are most picks.
+``on_scheduled(request, now)``
+    Learn that *request* was serviced at *now*.
+
+The controller supplies a *context* with two predicates:
 
 ``row_hit(request)``
     Would this request hit the currently open row of its bank?
@@ -42,6 +56,14 @@ def _eligible(pending, now, context):
     ]
 
 
+def _lone_pick(request, now, context):
+    """``pick([request])`` for a policy whose choice from one eligible
+    request is that request: *request* when it is eligible, else None."""
+    if request.not_before <= now and not context.reserved_against(request):
+        return request
+    return None
+
+
 def _oldest(candidates):
     return min(candidates, key=lambda request: (request.enqueue_time, request.req_id))
 
@@ -69,6 +91,9 @@ class FcfsScheduler:
             return None
         return _oldest(candidates)
 
+    def pick_lone(self, request, now, context):
+        return _lone_pick(request, now, context)
+
     def on_scheduled(self, request, now):
         pass
 
@@ -86,6 +111,9 @@ class FrFcfsScheduler:
         if not candidates:
             return None
         return _row_hit_oldest(candidates, context)
+
+    def pick_lone(self, request, now, context):
+        return _lone_pick(request, now, context)
 
     def on_scheduled(self, request, now):
         pass
@@ -137,6 +165,10 @@ class BlissScheduler:
         ]
         pool = favoured if favoured else candidates
         return _row_hit_oldest(pool, context)
+
+    def pick_lone(self, request, now, context):
+        self._maybe_clear(now)
+        return _lone_pick(request, now, context)
 
     def on_scheduled(self, request, now):
         self._maybe_clear(now)
@@ -207,6 +239,10 @@ class AtlasScheduler:
         ]
         return _row_hit_oldest(ranked, context)
 
+    def pick_lone(self, request, now, context):
+        self._maybe_reset(now)
+        return _lone_pick(request, now, context)
+
     def on_scheduled(self, request, now):
         self._maybe_reset(now)
         if request.kind == KIND_WRITEBACK:
@@ -254,11 +290,27 @@ class TempoGroupingScheduler:
             return _row_hit_oldest(prefetches, context)
         return self.base.pick(pending, now, context)
 
+    def pick_lone(self, request, now, context):
+        if request.not_before > now or context.reserved_against(request):
+            return None
+        kind = request.kind
+        if kind == KIND_PT:
+            self._pt_first.value += 1
+            return request
+        if kind == KIND_TEMPO_PREFETCH:
+            self._prefetch_grouped.value += 1
+            return request
+        return self.base.pick_lone(request, now, context)
+
     def on_scheduled(self, request, now):
         self.base.on_scheduled(request, now)
 
     def __getattr__(self, attribute):
-        # Delegate introspection helpers (e.g. BLISS's `blacklisted`).
+        # Delegate introspection helpers (e.g. BLISS's `blacklisted`).  An
+        # instance that `copy` has not yet filled in has no `base`: miss
+        # like any absent attribute instead of recursing.
+        if attribute == "base":
+            raise AttributeError(attribute)
         return getattr(self.base, attribute)
 
 

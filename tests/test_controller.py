@@ -135,6 +135,22 @@ def test_advance_to_serves_writebacks_behind_future_requests():
     assert controller.next_decision_time(later.channel) == 1000
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="advance_to stops on not_before but not on grace reservations, so it "
+    "services a reserved-against request after its horizon (ROADMAP item 6)",
+)
+def test_advance_to_decides_nothing_past_its_horizon():
+    config = default_system_config().copy_with(num_cores=2)
+    controller = MemoryController(config, None, None)
+    controller.device.bank_for(0x10000).reserve(0, 1000)
+    request = MemoryRequest(0x10000, KIND_DEMAND, cpu=1)
+    controller.submit_async(request, 0)
+    controller.advance_to(100)
+    assert request.start_time is None
+    assert controller.now <= 100
+
+
 def test_txq_overflow_drops_prefetches():
     controller, config = _controller(
         tempo=True, dram=replace(default_system_config().dram, txq_capacity=4)

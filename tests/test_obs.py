@@ -3,6 +3,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from repro.common.config import default_system_config
 from repro.obs import (
     CompositeProbe,
@@ -152,6 +154,29 @@ def test_run_harvests_per_core_stats_and_manifest():
     assert stats["manifest.config_sha256"] == result.manifest.config_sha256
     assert "wall_seconds" in result.manifest.timings
     assert result.manifest.timings["records"] == len(trace.records)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="metrics_registry registers only the TEMPO grouping wrapper's stats, "
+    "not the wrapped policy's (ROADMAP item 2)",
+)
+def test_wrapped_scheduler_counters_reach_result_stats():
+    config = default_system_config()
+    config = config.copy_with(
+        num_cores=2, scheduler=replace(config.scheduler, policy="bliss")
+    ).with_tempo(True)
+    traces = [
+        make_trace("bzip2_small", length=400, seed=0),
+        make_trace("gcc_small", length=400, seed=0),
+    ]
+    simulator = SystemSimulator(config, traces)
+    result = simulator.run()
+    wrapped = simulator.controller.scheduler.base.stats.as_dict()
+    assert wrapped["sched.bliss.blacklistings"] > 0
+    assert wrapped["sched.bliss.clearings"] > 0
+    for key, value in wrapped.items():
+        assert result.stats.get(key) == value
 
 
 def test_run_with_tracer_emits_lifecycle_spans():

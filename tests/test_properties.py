@@ -421,6 +421,9 @@ def _drive_controller(controller_class, config, num_cpus, ops):
         "outcomes": outcomes,
         "controller": controller.stats.as_dict(),
         "sched": controller.scheduler.stats.as_dict(),
+        # Under TEMPO grouping "sched" is the wrapper's group; the wrapped
+        # policy keeps its own (BLISS clearings, ATLAS quantum resets).
+        "base": getattr(controller.scheduler, "base", controller.scheduler).stats.as_dict(),
         "dram": controller.device.stats.as_dict(),
     }
 
@@ -463,6 +466,143 @@ def test_controller_matches_whole_queue_reference(ops, policy, tempo, num_cpus, 
     ).with_tempo(tempo != "off", txq_grouping=tempo == "on+grouping")
     reference = _drive_controller(SingleListController, config, num_cpus, ops)
     assert _drive_controller(MemoryController, config, num_cpus, ops) == reference
+
+
+class _ScriptedContext:
+    """Scheduler predicates answered per request: a row hit when its id
+    is in ``row_hits``, and a reservation ``(cpu, until)`` standing in
+    for its bank's, binding another CPU while ``now < until``."""
+
+    def __init__(self):
+        self.now = 0
+        self.row_hits = set()
+        self.reservations = {}
+
+    def row_hit(self, request):
+        return request.req_id in self.row_hits
+
+    def reserved_against(self, request):
+        reservation = self.reservations.get(request.req_id)
+        return (
+            reservation is not None
+            and reservation[0] != request.cpu
+            and self.now < reservation[1]
+        )
+
+
+_scripted_requests = st.tuples(
+    st.sampled_from(_REQUEST_KINDS),
+    st.integers(min_value=0, max_value=3),  # cpu, modulo the CPU count
+    st.integers(min_value=-300, max_value=300),  # not_before - now
+    st.sampled_from(("none", "own", "other")),  # whose reservation binds its bank
+    st.integers(min_value=1, max_value=300),  # reservation left
+    st.booleans(),  # row hit
+)
+
+_scheduler_history = st.lists(
+    st.tuples(
+        st.sampled_from(("pick", "scheduled")),
+        st.integers(min_value=0, max_value=400),  # time step
+        st.lists(_scripted_requests, min_size=1, max_size=4),
+    ),
+    max_size=12,
+)
+
+
+def _scripted_request(spec, now, num_cpus, context):
+    from repro.sched.request import MemoryRequest
+
+    kind, cpu, lead, reservation, left, hit = spec
+    cpu %= num_cpus
+    request = MemoryRequest(
+        0x1000, kind, cpu=cpu, enqueue_time=now, not_before=max(0, now + lead)
+    )
+    if reservation != "none":
+        owner = cpu if reservation == "own" else (cpu + 1) % 4
+        context.reservations[request.req_id] = (owner, now + left)
+    if hit:
+        context.row_hits.add(request.req_id)
+    return request
+
+
+def _policy_state(scheduler):
+    """Everything a policy decides with: each layer's attributes (counter
+    handles by value) and its exported stats."""
+    from repro.common.stats import Counter, StatGroup
+
+    state = []
+    for policy in (scheduler, getattr(scheduler, "base", scheduler)):
+        attributes = {}
+        for name, value in vars(policy).items():
+            if isinstance(value, Counter):
+                attributes[name] = value.value
+            elif name != "base" and not isinstance(value, StatGroup):
+                attributes[name] = value
+        state.append((attributes, policy.stats.as_dict()))
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(("fcfs", "frfcfs", "bliss", "atlas")),
+    st.booleans(),  # TEMPO grouping
+    st.integers(min_value=1, max_value=4),
+    _scheduler_history,
+    st.integers(min_value=0, max_value=400),
+    _scripted_requests,
+)
+def test_pick_lone_matches_pick_on_one_request(
+    policy, grouping, num_cpus, history, step, offered
+):
+    """``pick_lone(r)`` returns what ``pick([r])`` returns and leaves the
+    policy in the same state, whatever history the policy has seen;
+    after a refusal, a second ``pick_lone`` at the same time (the
+    controller's refused arrival, then its pick) still equals one
+    ``pick``, and so does the retry once the clock has jumped."""
+    import copy
+    from dataclasses import replace
+
+    from repro.common.config import default_system_config
+    from repro.sched.schedulers import make_scheduler
+
+    # Short periods, so that most histories and offers cross a BLISS
+    # clearing or an ATLAS quantum boundary.
+    config = replace(
+        default_system_config().scheduler,
+        policy=policy,
+        bliss_clearing_interval=200,
+        atlas_quantum_cycles=300,
+    )
+    scheduler = make_scheduler(config, tempo_enabled=grouping)
+    context = _ScriptedContext()
+    now = 0
+    for action, time_step, specs in history:
+        now += time_step
+        context.now = now
+        requests = [_scripted_request(spec, now, num_cpus, context) for spec in specs]
+        if action == "pick":
+            scheduler.pick(requests, now, context)
+        else:
+            scheduler.on_scheduled(requests[0], now)
+
+    now += step
+    context.now = now
+    request = _scripted_request(offered, now, num_cpus, context)
+    twin = copy.deepcopy(scheduler)
+    expected = scheduler.pick([request], now, context)
+    assert expected is None or expected is request
+    assert twin.pick_lone(request, now, context) is expected
+    assert _policy_state(twin) == _policy_state(scheduler)
+    if expected is None:
+        assert twin.pick_lone(request, now, context) is None
+        assert _policy_state(twin) == _policy_state(scheduler)
+        reservation = context.reservations.get(request.req_id, (None, 0))
+        now = max(now, request.not_before, reservation[1])
+        context.now = now
+        expected = scheduler.pick([request], now, context)
+        assert expected is request
+        assert twin.pick_lone(request, now, context) is expected
+        assert _policy_state(twin) == _policy_state(scheduler)
 
 
 @settings(max_examples=15, deadline=None)
