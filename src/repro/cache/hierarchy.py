@@ -54,7 +54,6 @@ class CacheHierarchy:
         self._l1_writebacks = self.stats.counter_handle("l1_writebacks")
         self._l2_writebacks = self.stats.counter_handle("l2_writebacks")
         self._tempo_llc_prefetch_fills = self.stats.counter_handle("tempo_llc_prefetch_fills")
-        self._imp_prefetch_fills = self.stats.counter_handle("imp_prefetch_fills")
 
     def access(self, cpu, paddr, is_write=False):
         """Probe L1 -> L2 -> LLC for the line holding *paddr*.
@@ -117,12 +116,6 @@ class CacheHierarchy:
         self._tempo_llc_prefetch_fills.value += 1
         if victim is not None and victim.dirty:
             self._pending_dram_writebacks.append(victim)
-
-    def prefetch_fill_l1(self, cpu, paddr):
-        """IMP-style prefetch fill: L1 + L2 + LLC (IMP prefetches into
-        the L1 cache; inclusive fill keeps the model consistent)."""
-        self.fill_from_memory(cpu, paddr)
-        self._imp_prefetch_fills.value += 1
 
     def drain_writebacks(self):
         """Collect dirty LLC victims accumulated since the last drain;

@@ -56,17 +56,17 @@ Commands:
     the run exits 3.
 ``verify``
     Run the differential/metamorphic oracle suite (``repro.verify``):
-    run-to-run determinism, TEMPO's replay-reduction metamorphic,
+    determinism across processes, TEMPO's replay-reduction metamorphic,
     trace-length monotonicity, and a full online-audit run.  ``--quick`` shrinks the runs for CI
     smoke use; exits 1 when any oracle fails.
 ``lint [PATHS...]``
     Run simlint, the AST-based invariant linter (default target:
-    ``src/repro``): no nondeterminism in timing-critical packages,
+    ``src/repro``): no nondeterminism in the code a cell runs,
     cache-key completeness, payload-schema coverage, stat registration,
-    and the hygiene rules.  ``--format json`` for machine-readable
-    output, ``--disable SLnnn`` to switch rules off, ``--list-rules``
-    for the catalogue; exits 1 when findings remain.  Rules are
-    documented in ``docs/static_analysis.md``.
+    error context, and the hygiene rules.  ``--format json`` for
+    machine-readable output, ``--disable SLnnn`` to switch rules off,
+    ``--list-rules`` for the catalogue; exits 1 when findings remain.
+    Rules are documented in ``docs/static_analysis.md``.
 """
 
 import argparse
@@ -416,19 +416,11 @@ def _cmd_lint(args, out):
         render_text,
     )
     from repro.lint.engine import discover_files
-    from repro.lint.whole_program import build_whole_program_rules
-
-    # Whole-program analysis is the default for the project tree (bare
-    # ``repro lint``); explicit paths opt in with --whole-program.
-    whole_program = args.whole_program or not args.paths
-    rules = list(ALL_RULES)
-    if whole_program:
-        rules.extend(build_whole_program_rules())
 
     if args.list_rules:
-        render_rules(out, rules=rules)
+        render_rules(out)
         return 0
-    known = {rule.rule_id for rule in rules}
+    known = {rule.rule_id for rule in ALL_RULES}
     unknown = [rule for rule in args.disable if rule not in known]
     if unknown:
         out.write(
@@ -447,7 +439,7 @@ def _cmd_lint(args, out):
         out.write("no Python files under: %s\n" % ", ".join(paths))
         return 2
 
-    rules = [rule for rule in rules if rule.rule_id not in args.disable]
+    rules = [rule for rule in ALL_RULES if rule.rule_id not in args.disable]
     findings = lint_paths(files, rules=rules)
     if args.format == "json":
         render_json(findings, out)
@@ -744,14 +736,6 @@ def build_parser():
     )
     lint_parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
-    )
-    lint_parser.add_argument(
-        "--whole-program",
-        action="store_true",
-        help=(
-            "add the interprocedural rules SL010-SL014 (call-graph "
-            "analysis; default when no paths are given)"
-        ),
     )
     return parser
 

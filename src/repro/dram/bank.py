@@ -192,10 +192,12 @@ class DramDevice:
         self.stats = StatGroup("dram")
         total = self.address_map.total_banks
         make_bank = bank_factory if bank_factory is not None else self._default_bank
-        self.banks = [make_bank(bank_id, total) for bank_id in range(total)]
+        # Every bank counts into one shared group: dram.bank.*.
+        bank_stats = self.stats.child("bank")
+        self.banks = [make_bank(bank_id, total, bank_stats) for bank_id in range(total)]
 
-    def _default_bank(self, bank_id, total):
-        return Bank(bank_id, total, self.config, self.row_policy, self.stats.child("bank"))
+    def _default_bank(self, bank_id, total, stats):
+        return Bank(bank_id, total, self.config, self.row_policy, stats)
 
     def bank_for(self, paddr):
         return self.banks[self.address_map.bank_index(paddr)]

@@ -50,7 +50,10 @@ class SubRowBank:
     def __init__(self, bank_id, total_banks, dram_config, num_cpus=1, stats=None):
         subrow_config = dram_config.subrows
         if not subrow_config.enabled:
-            raise ConfigError("SubRowBank requires subrows.enabled")
+            raise ConfigError(
+                "SubRowBank requires subrows.enabled",
+                context={"bank_id": bank_id, "subrows_enabled": subrow_config.enabled},
+            )
         self.bank_id = bank_id
         self.total_banks = total_banks
         self._timing = dram_config
@@ -226,11 +229,9 @@ class SubRowBank:
 class SubRowSet:
     """Factory helper wiring SubRowBanks into a DramDevice."""
 
-    def __init__(self, dram_config, num_cpus, stats_root=None):
+    def __init__(self, dram_config, num_cpus):
         self.dram_config = dram_config
         self.num_cpus = num_cpus
-        self._stats_root = stats_root
 
-    def __call__(self, bank_id, total_banks):
-        stats = self._stats_root.child("bank") if self._stats_root is not None else None
+    def __call__(self, bank_id, total_banks, stats):
         return SubRowBank(bank_id, total_banks, self.dram_config, self.num_cpus, stats)

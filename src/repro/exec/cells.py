@@ -41,7 +41,9 @@ from repro.obs.manifest import config_hash
 #: exported stats namespace grew (scheduler, row-policy, prefetch
 #: engine, frame-allocator, and page-table groups are now registered).
 #: Schema 3: the ``manifest.kernel`` stat is gone with the batch kernel.
-PAYLOAD_SCHEMA = 3
+#: Schema 4: sub-row cells export ``dram.bank.*`` (their banks' group is
+#: now registered).
+PAYLOAD_SCHEMA = 4
 
 
 def _package_version() -> str:

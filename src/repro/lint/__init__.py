@@ -1,13 +1,14 @@
 """simlint: AST-based invariant linting for the simulator.
 
-The executor stack (PR 2) made correctness depend on properties no
-runtime test can economically enforce -- determinism of timing-critical
-code, completeness of the content-addressed cache key, coverage of the
+The executor stack made correctness depend on properties no runtime
+test can economically enforce -- determinism of the code a cell runs,
+completeness of the content-addressed cache key, coverage of the
 serialized payload schema.  This package checks them statically:
 ``repro lint src/repro`` (or :func:`lint_paths` programmatically) runs
-14 simulator-specific rules -- nine per-file (SL001-SL009) and five
-whole-program (SL010-SL014) -- each with a stable ID, a severity, and a
-fix-it message.  ``docs/static_analysis.md`` documents every rule.
+10 simulator-specific rules (SL001-SL009 and SL014), one file at a
+time, each with a stable ID, a severity, and a fix-it message.
+``docs/static_analysis.md`` documents every rule, and the runtime
+checks that replaced SL010-SL013.
 """
 
 from __future__ import annotations

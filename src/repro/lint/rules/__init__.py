@@ -11,7 +11,7 @@ from typing import Dict, List
 from repro.lint.base import Rule
 from repro.lint.rules.cache_key import CacheKeyCompletenessRule
 from repro.lint.rules.determinism import TIMING_CRITICAL_PACKAGES, NoNondeterminismRule
-from repro.lint.rules.errors import NoBareExceptionsRule
+from repro.lint.rules.errors import ExceptionContextRule, NoBareExceptionsRule
 from repro.lint.rules.hygiene import (
     NoConfigMutationRule,
     NoFloatCyclesRule,
@@ -32,6 +32,7 @@ ALL_RULES: List[Rule] = [
     NoPrintRule(),
     NoMutableDefaultsRule(),
     NoBareExceptionsRule(),
+    ExceptionContextRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}

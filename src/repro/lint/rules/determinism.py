@@ -1,12 +1,14 @@
-"""SL001: no nondeterminism in timing-critical packages.
+"""SL001: no nondeterminism in the code a cell runs.
 
-The executor's content-addressed cache (PR 2) assumes a cell's result is
-a pure function of ``(config, trace identity, seed, version)``.  Any
-wall-clock read, unseeded randomness, or unordered iteration inside the
-simulated machine silently breaks that contract: the cache then serves
-results that a fresh run would not reproduce.  All randomness must flow
-through :class:`repro.common.rng.DeterministicRng` and all iteration
-over sets must impose an order (``sorted``).
+The executor's content-addressed cache assumes a cell's result is a pure
+function of ``(config, trace identity, seed, version)``.  Any wall-clock
+read, unseeded randomness, environment or working-directory read, or
+unordered iteration inside the simulated machine silently breaks that
+contract: the cache then serves results that a fresh run would not
+reproduce.  All randomness must flow through
+:class:`repro.common.rng.DeterministicRng` and all iteration over sets
+must impose an order (``sorted``).  ``repro verify``'s determinism
+oracle checks the same contract at run time, across processes.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.lint.base import Finding, Module, Rule, dotted_name
 
 #: Packages whose code contributes to simulated timing and therefore to
-#: cached results.  ``common`` is excluded so DeterministicRng itself
-#: can wrap :mod:`random`; ``obs``/``exec``/``analysis`` are host-side.
+#: cached results; ``obs``/``exec``/``analysis`` are host-side.
 TIMING_CRITICAL_PACKAGES = (
     "sim",
     "mmu",
@@ -29,6 +30,13 @@ TIMING_CRITICAL_PACKAGES = (
     "workloads",
     "core",
 )
+
+#: SL001's scope: the timing-critical packages plus the rest of what a
+#: cell runs -- ``common`` (config, stats, errors) and ``verify`` (the
+#: online auditors).  :mod:`repro.common.rng` is exempt: it is the one
+#: module that may wrap :mod:`random`.
+DETERMINISM_PACKAGES = TIMING_CRITICAL_PACKAGES + ("common", "verify")
+_DETERMINISM_EXEMPT = ("repro.common.rng",)
 
 #: Modules whose import alone is a red flag in simulation code.
 _BANNED_MODULES = {
@@ -46,6 +54,13 @@ _BANNED_CALLS = {
     "time.time": "wall-clock read",
     "time.perf_counter": "wall-clock read",
     "time.monotonic": "wall-clock read",
+    "os.getenv": "environment reads make results depend on the host",
+    "os.getcwd": "working-directory reads make results depend on the host",
+}
+
+#: Banned attribute reads (any use, call or not).
+_BANNED_ATTRIBUTES = {
+    "os.environ": "environment reads make results depend on the host",
 }
 
 
@@ -69,17 +84,21 @@ class NoNondeterminismRule(Rule):
     name = "no-nondeterminism"
     severity = "error"
     rationale = (
-        "timing-critical code must be a pure function of (config, trace, "
-        "seed): no wall clock, no unseeded randomness, no unordered-set "
-        "iteration, or the result cache serves irreproducible results"
+        "code a cell runs must be a pure function of (config, trace, "
+        "seed): no wall clock, no unseeded randomness, no environment or "
+        "cwd reads, no unordered-set iteration, or the result cache "
+        "serves irreproducible results"
     )
     fixit = (
         "draw randomness from repro.common.rng.DeterministicRng, move "
-        "wall-clock profiling to repro.obs, and iterate sets via sorted()"
+        "wall-clock profiling to repro.obs, pass host settings in through "
+        "SystemConfig, and iterate sets via sorted()"
     )
 
     def check_module(self, module: Module) -> Iterator[Finding]:
-        if not module.is_in_package(TIMING_CRITICAL_PACKAGES):
+        if not module.is_in_package(DETERMINISM_PACKAGES):
+            return
+        if module.name in _DETERMINISM_EXEMPT:
             return
         set_scopes = _collect_set_locals(module.tree)
         for node in ast.walk(module.tree):
@@ -102,6 +121,17 @@ class NoNondeterminismRule(Rule):
                         "import from %r in timing-critical package: %s"
                         % (node.module, _BANNED_MODULES[root]),
                     )
+                elif node.module == "os":
+                    for alias in node.names:
+                        name = "os." + alias.name
+                        reason = _BANNED_CALLS.get(name) or _BANNED_ATTRIBUTES.get(name)
+                        if reason is not None:
+                            yield self.finding(
+                                module,
+                                node,
+                                "import of %s in timing-critical package: %s"
+                                % (name, reason),
+                            )
             elif isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name in _BANNED_CALLS:
@@ -110,6 +140,15 @@ class NoNondeterminismRule(Rule):
                         node,
                         "call to %s() in timing-critical package: %s"
                         % (name, _BANNED_CALLS[name]),
+                    )
+            elif isinstance(node, ast.Attribute):
+                name = dotted_name(node)
+                if name in _BANNED_ATTRIBUTES:
+                    yield self.finding(
+                        module,
+                        node,
+                        "read of %s in timing-critical package: %s"
+                        % (name, _BANNED_ATTRIBUTES[name]),
                     )
             for iter_node in _iterations(node):
                 if _is_set_expression(iter_node, set_scopes.get(id(node), set())):

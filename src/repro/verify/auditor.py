@@ -191,17 +191,14 @@ class StatConservationAuditor(InvariantAuditor):
                     {"kind": kind, "queued": queued.get(kind, 0)},
                 )
 
-        # SubRowSet banks keep private stats; the shared group only
-        # exists for the default whole-row banks.
         bank_stats = controller.device.stats.peek_child("bank")
-        if bank_stats is not None:
-            bank_total = sum(bank_stats.peek(outcome) for outcome in _DRAM_OUTCOMES)
-            if bank_total != total_served:
-                yield self._violation(
-                    "bank_outcome_total",
-                    "banks classified %d accesses but controller served %d"
-                    % (bank_total, total_served),
-                )
+        bank_total = sum(bank_stats.peek(outcome) for outcome in _DRAM_OUTCOMES)
+        if bank_total != total_served:
+            yield self._violation(
+                "bank_outcome_total",
+                "banks classified %d accesses but controller served %d"
+                % (bank_total, total_served),
+            )
 
     @staticmethod
     def _caches(machine: Any) -> Iterator[Any]:

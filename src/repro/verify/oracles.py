@@ -4,8 +4,10 @@ Where the online auditors check invariants *within* one run, the oracles
 check relations *between* runs -- properties that hold for any correct
 simulator regardless of parameter values:
 
-* **determinism** -- same workload, config and seed twice yields the
-  same config hash and the same statistics;
+* **determinism** -- one cell simulated in this process and in two
+  fresh interpreters that differ in working directory, ``TZ``,
+  ``PYTHONHASHSEED`` and environment yields bit-identical payloads
+  (config hash included);
 * **TEMPO replay metamorphic** -- enabling TEMPO can only *reduce* the
   number of replay accesses that go to DRAM (prefetches may add traffic,
   but replays themselves only get absorbed, paper Sec. 3);
@@ -23,7 +25,13 @@ still in the typing burn-down.
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, List, Optional
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Workload used by every oracle: pointer-chasing with a hot index, so
 #: short runs still exercise TLB misses, walks, and TEMPO prefetches.
@@ -70,30 +78,85 @@ class OracleResult:
         return "OracleResult(%s: %s)" % (self.name, "PASS" if self.passed else "FAIL")
 
 
+#: The subprocess half of the determinism oracle: simulate the pickled
+#: cell read from stdin and write its payload to stdout as JSON.
+_CELL_CHILD = (
+    "import json, pickle, sys\n"
+    "from repro.exec.executor import simulate_cell\n"
+    "json.dump(simulate_cell(pickle.load(sys.stdin.buffer)), sys.stdout)\n"
+)
+
+
+def _payload_view(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A JSON payload flattened to one level, wall-clock keys dropped."""
+    view = {key: value for key, value in payload.items() if key != "stats"}
+    for key, value in _comparable(payload["stats"]).items():
+        view["stats." + key] = value
+    return view
+
+
 def oracle_determinism(length: int, seed: int) -> OracleResult:
-    """Same workload + config + seed twice => same hash, same stats."""
-    runner = _load("repro.sim.runner")
+    """One cell, simulated here and in two fresh interpreters that differ
+    in cwd, ``TZ``, ``PYTHONHASHSEED`` and environment, yields one
+    payload."""
     config = _load("repro.common.config").default_system_config().with_tempo(True)
-    first = runner.run_workload(ORACLE_WORKLOAD, config=config, length=length, seed=seed)
-    second = runner.run_workload(ORACLE_WORKLOAD, config=config, length=length, seed=seed)
-    if first.manifest.config_sha256 != second.manifest.config_sha256:
-        return OracleResult(
-            "determinism",
-            False,
-            "config hash differs between identical runs: %s vs %s"
-            % (first.manifest.config_sha256[:12], second.manifest.config_sha256[:12]),
-        )
-    left = _comparable(first.stats)
-    right = _comparable(second.stats)
-    if left == right:
-        return OracleResult(
-            "determinism",
-            True,
-            "two seed-%d runs agree on %d stats (config %s)"
-            % (seed, len(left), first.manifest.config_sha256[:12]),
-        )
+    cell = _load("repro.exec.cells").SimCell(ORACLE_WORKLOAD, config, length, seed)
+    payload = _load("repro.exec.executor").simulate_cell(cell)
+    local = _payload_view(json.loads(json.dumps(payload)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_load("repro").__file__)))
+    child = ["PYTHONPATH=" + src, sys.executable, "-c", _CELL_CHILD]
+    # ``env`` applies each setting on top of the environment it inherits
+    # (or, with -i, on an empty one), so this module never reads it.
+    variants: Tuple[Tuple[str, str, List[str]], ...] = (
+        (
+            "a",
+            "inherited environment, TZ, PYTHONHASHSEED and one more variable",
+            ["TZ=Asia/Kathmandu", "PYTHONHASHSEED=1", "ORACLE_NOISE=1"],
+        ),
+        (
+            os.path.join("bb", "c", "d"),
+            "only PATH and PYTHONPATH",
+            ["-i", "PATH=" + os.defpath],
+        ),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for subdir, what, settings in variants:
+            cwd = os.path.join(tmp, subdir)
+            os.makedirs(cwd)
+            done = subprocess.run(
+                ["env"] + settings + child,
+                cwd=cwd,
+                input=pickle.dumps(cell),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+            label = "subprocess in %s (%s)" % (subdir, what)
+            if done.returncode != 0:
+                lines = done.stderr.decode(errors="replace").strip().splitlines()
+                return OracleResult(
+                    "determinism",
+                    False,
+                    "%s exited %d: %s"
+                    % (label, done.returncode, lines[-1] if lines else ""),
+                )
+            remote = _payload_view(json.loads(done.stdout))
+            if remote != local:
+                return OracleResult(
+                    "determinism",
+                    False,
+                    "%s diverges from the in-process run: %s"
+                    % (label, _diff_keys(local, remote)),
+                )
     return OracleResult(
-        "determinism", False, "stats diverge: %s" % _diff_keys(left, right)
+        "determinism",
+        True,
+        "in-process run and %d subprocesses (cwd, TZ, PYTHONHASHSEED, "
+        "environment varied) agree on %d stats (config %s)"
+        % (
+            len(variants),
+            sum(1 for key in local if key.startswith("stats.")),
+            local["stats.manifest.config_sha256"][:12],
+        ),
     )
 
 

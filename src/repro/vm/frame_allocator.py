@@ -119,7 +119,14 @@ class FrameAllocator:
         unavailable."""
         frame = self.try_alloc_2m()
         if frame is None:
-            raise AllocationError("no contiguous 2 MB region available")
+            raise AllocationError(
+                "no contiguous 2 MB region available",
+                context={
+                    "num_regions": self.num_regions,
+                    "regions_used": self.regions_used,
+                    "memhog_fraction": self._memhog_fraction,
+                },
+            )
         return frame
 
     def try_alloc_1g(self):
@@ -144,7 +151,14 @@ class FrameAllocator:
     def alloc_1g(self):
         frame = self.try_alloc_1g()
         if frame is None:
-            raise AllocationError("no contiguous 1 GB region available")
+            raise AllocationError(
+                "no contiguous 1 GB region available",
+                context={
+                    "num_regions": self.num_regions,
+                    "region_cursor": self._region_cursor,
+                    "memhog_regions": self._memhog_regions,
+                },
+            )
         return frame
 
     def reserve_pool(self, page_size, count):

@@ -54,8 +54,11 @@ def test_tempo_prefetch_fills_llc_only(hierarchy):
 
 
 def test_imp_prefetch_fills_all_levels(hierarchy):
-    hierarchy.prefetch_fill_l1(0, 0x200000)
+    # The simulator installs a DRAM-served IMP prefetch like a demand
+    # fill: IMP prefetches into the L1.
+    hierarchy.fill_from_memory(0, 0x200000)
     assert hierarchy.l1[0].contains(0x200000)
+    assert hierarchy.l2[0].contains(0x200000)
     assert hierarchy.llc.contains(0x200000)
 
 

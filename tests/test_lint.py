@@ -83,6 +83,29 @@ def test_sl001_good_code_is_silent(tmp_path):
     assert findings == []
 
 
+def test_sl001_fires_on_environment_and_cwd_reads(tmp_path):
+    findings = lint_snippet(
+        tmp_path,
+        "import os\n"
+        "from os import getcwd\n"
+        "def f():\n"
+        "    home = os.environ.get('HOME')\n"
+        "    return home, os.getenv('TZ'), os.getcwd()\n",
+        only="SL001",
+    )
+    assert sorted(f.line for f in findings) == [2, 4, 5, 5]
+
+
+def test_sl001_covers_common_and_verify_except_the_rng(tmp_path):
+    for relpath in ("repro/common/helper.py", "repro/verify/helper.py"):
+        findings = lint_snippet(tmp_path, "import time\n", relpath=relpath, only="SL001")
+        assert rule_ids(findings) == ["SL001"], relpath
+    findings = lint_snippet(
+        tmp_path, "import random\n", relpath="repro/common/rng.py", only="SL001"
+    )
+    assert findings == []
+
+
 def test_sl001_only_applies_to_timing_critical_packages(tmp_path):
     findings = lint_snippet(
         tmp_path,
@@ -461,6 +484,54 @@ def test_sl009_only_applies_to_timing_critical_packages(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# SL014 exception-context
+
+ERROR_CLASSES = (
+    "class ReproError(Exception):\n"
+    "    def __init__(self, message, context=None):\n"
+    "        super().__init__(message)\n"
+    "class ConfigError(ReproError):\n"
+    "    pass\n"
+    "class AllocationError(ConfigError):\n"
+    "    pass\n"
+)
+
+
+def test_sl014_fires_on_repro_error_raises_without_context(tmp_path):
+    findings = lint_snippet(
+        tmp_path,
+        ERROR_CLASSES + "def f(kind):\n"
+        "    if kind == 'a':\n"
+        "        raise ConfigError('bad kind %r' % kind)\n"
+        "    if kind == 'b':\n"
+        "        raise errors.AllocationError('no region')\n"
+        "    raise ReproError\n",
+        relpath="repro/exec/snippet.py",
+        only="SL014",
+    )
+    assert [f.line for f in findings] == [10, 12, 13]
+
+
+def test_sl014_context_builtins_and_reraises_are_silent(tmp_path):
+    findings = lint_snippet(
+        tmp_path,
+        ERROR_CLASSES + "def f(kind):\n"
+        "    if kind is None:\n"
+        "        raise AllocationError('no kind', context={'kind': kind})\n"
+        "    try:\n"
+        "        g()\n"
+        "    except ConfigError as exc:\n"
+        "        raise exc\n"
+        "    except ReproError:\n"
+        "        raise\n"
+        "    raise ValueError('host-side code may use builtins')\n",
+        relpath="repro/exec/snippet.py",
+        only="SL014",
+    )
+    assert findings == []
+
+
+# ----------------------------------------------------------------------
 # Engine behaviour
 
 
@@ -529,6 +600,13 @@ def test_cli_lint_clean_tree_exits_zero():
     assert "no findings" in output
 
 
+def test_cli_bare_lint_defaults_to_src_repro(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    code, output = run_cli("lint")
+    assert code == 0
+    assert "no findings" in output
+
+
 def test_cli_lint_findings_exit_one_and_json(tmp_path):
     path = tmp_path / "repro" / "mmu" / "bad.py"
     path.parent.mkdir(parents=True)
@@ -555,7 +633,7 @@ def test_cli_lint_rejects_unknown_rule_and_missing_path(tmp_path):
     # A path holding no Python file must fail the gate, not pass it.
     notes = tmp_path / "notes.md"
     notes.write_text("# not python\n")
-    for argv in ([str(tmp_path)], [str(notes)], ["--whole-program", str(tmp_path)]):
+    for argv in ([str(tmp_path)], [str(notes)]):
         code, output = run_cli("lint", *argv)
         assert code == 2 and "no Python files under" in output
 

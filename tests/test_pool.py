@@ -10,6 +10,8 @@ Layers, cheapest first:
 
 * executor-level chaos sweeps (worker_kill + heartbeat_stall) against a
   serial reference;
+* one batch under the ``spawn`` start method, which pickles every
+  worker's target and arguments for real;
 * the poison-cell guard: a cell that kills consecutive workers is
   quarantined with evidence instead of grinding the pool down;
 * supervisor death: SIGKILL the whole ``repro experiment`` process
@@ -17,6 +19,7 @@ Layers, cheapest first:
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -106,6 +109,24 @@ def test_chaos_pool_sweep_bit_identical_to_serial(tmp_path):
     assert actions.count("stalled") == len(plan.stall)
     # Additive events only: the telemetry schema did not change.
     assert {e["schema"] for e in events} == {1}
+
+
+def test_spawn_pool_batch_bit_identical_to_serial(tmp_path, monkeypatch):
+    """``fork`` hands a worker its target and arguments as copied
+    memory; ``spawn`` (and ``forkserver``, the Linux default from
+    CPython 3.14) pickles them, so anything unpicklable crossing the
+    worker boundary fails here."""
+    cells = _cells(length=400, workloads=("xsbench", "mcf", "lsh", "canneal"))
+    reference = [_comparable(r) for r in ExperimentExecutor(workers=1).run_cells(cells)]
+
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+    pooled = ExperimentExecutor(workers=2, cache=ResultCache(str(tmp_path)))
+    results = [_comparable(r) for r in pooled.run_cells(cells)]
+
+    assert results == reference
+    assert pooled.counters["simulated"] == len(cells)
+    assert pooled.counters["workers_spawned"] == 2
 
 
 def test_pool_reports_steals_and_beats_spawn_per_cell(tmp_path):
