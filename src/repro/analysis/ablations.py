@@ -10,10 +10,11 @@ Like the figure drivers, every ablation decomposes into independent
 simulation cells and runs through an
 :class:`~repro.exec.ExperimentExecutor` (pass ``executor=`` to share a
 pool and cache with other drivers).  The executor's resilience layer
-applies unchanged: interrupted ablation sweeps resume from their
-checkpoint journals, and under ``allow_partial`` a permanently-failed
-cell degrades to an all-zero placeholder whose improvement columns read
-0 (every ratio here goes through the zero-guarded metrics helpers).
+applies unchanged: an interrupted ablation sweep run again serves its
+completed cells from the cache, and under ``allow_partial`` a
+permanently-failed cell degrades to an all-zero placeholder whose
+improvement columns read 0 (every ratio here goes through the
+zero-guarded metrics helpers).
 """
 
 from dataclasses import replace

@@ -32,28 +32,27 @@ Commands:
     fig17) or ablation drivers (ablation_destinations,
     ablation_txq_grouping, ablation_prefetch_latency, which takes at most
     one ``--workloads`` name, and ablation_schedulers) and print its
-    table.  Bad input (an unknown workload, a non-positive ``--length``)
-    is a usage error (exit 2) before anything runs.  ``--workers N`` fans
-    the driver's simulation cells across N worker processes; results are
-    served from (and persisted to) a content-addressed cache unless
-    ``--no-cache``.
+    table.  Bad input (an unknown workload, a non-positive ``--length``
+    or ``--workers``, a bad ``--faults`` spec) is a usage error (exit 2)
+    before anything runs.  ``--workers N`` fans the driver's simulation
+    cells across N worker processes; results are served from (and
+    persisted to) a content-addressed cache unless ``--no-cache``.
     Sweeps are fault-tolerant (``docs/resilience.md``): failing cells
-    retry up to ``--max-retries`` times, ``--cell-timeout`` kills hung
-    workers, ``--resume`` continues an interrupted sweep from its
-    checkpoint journal with zero re-simulation, ``--allow-partial``
-    degrades exhausted cells to explicitly-missing results (exit code 3)
-    instead of aborting, and ``--faults`` injects deterministic faults
-    for testing.
+    retry up to ``--max-retries`` times, a pooled cell past its deadline
+    (``--cell-timeout``, or one derived from its records) is killed and
+    retried, re-running an interrupted sweep re-simulates only the cells
+    missing from the cache, ``--allow-partial`` degrades exhausted cells
+    to explicitly-missing results (exit code 3) instead of aborting, and
+    ``--faults`` injects deterministic faults for testing.
 ``report -o FILE``
     Run every figure driver (and optionally the ablations) and write a
     markdown report with an embedded provenance manifest.  One executor
     is shared across all sections, so overlapping figures never
     simulate the same cell twice; ``--workers`` / ``--no-cache`` /
-    ``--cache-dir`` and the resilience flags (``--resume``,
-    ``--max-retries``, ``--cell-timeout``, ``--allow-partial``,
-    ``--faults``) work as for ``experiment``.  With ``--allow-partial``
-    a degraded report carries a banner listing the missing cells and
-    the run exits 3.
+    ``--cache-dir`` and the resilience flags (``--max-retries``,
+    ``--cell-timeout``, ``--allow-partial``, ``--faults``) work as for
+    ``experiment``.  With ``--allow-partial`` a degraded report carries
+    a banner listing the missing cells and the run exits 3.
 ``verify``
     Run the differential/metamorphic oracle suite (``repro.verify``):
     determinism across processes, TEMPO's replay-reduction metamorphic,
@@ -126,7 +125,6 @@ def _build_executor(args):
     """Executor for the experiment/report commands from their flags."""
     from repro.exec import (
         ExperimentExecutor,
-        FaultSpec,
         ResiliencePolicy,
         ResultCache,
         default_cache_dir,
@@ -138,10 +136,8 @@ def _build_executor(args):
     policy = ResiliencePolicy(
         max_retries=args.max_retries,
         cell_timeout=args.cell_timeout,
-        heartbeat_timeout=args.heartbeat_timeout,
         allow_partial=args.allow_partial,
     )
-    faults = FaultSpec.parse(args.faults) if args.faults else None
     telemetry = None
     if getattr(args, "telemetry", None):
         from repro.exec import TelemetryLog
@@ -151,8 +147,7 @@ def _build_executor(args):
         workers=args.workers,
         cache=cache,
         resilience=policy,
-        faults=faults,
-        resume=args.resume,
+        faults=args.faults,
         check_invariants=_invariant_mode(args),
         telemetry=telemetry,
     )
@@ -374,11 +369,7 @@ def _cmd_experiment(args, out):
         kwargs["workloads"] = tuple(args.workloads)
     from repro.exec import CellExecutionError, SweepAborted
 
-    try:
-        executor = _build_executor(args)
-    except ValueError as exc:
-        out.write("error: %s\n" % exc)
-        return 2
+    executor = _build_executor(args)
     try:
         result = driver(executor=executor, **kwargs)
     except (CellExecutionError, SweepAborted) as exc:
@@ -457,11 +448,7 @@ def _cmd_report(args, out):
         # stderr so piping/redirecting the command stays clean.
         sys.stderr.write(message + "\n")
 
-    try:
-        executor = _build_executor(args)
-    except ValueError as exc:
-        out.write("error: %s\n" % exc)
-        return 2
+    executor = _build_executor(args)
     try:
         path = write_report(
             args.output,
@@ -502,6 +489,18 @@ _non_negative_int = _checked(
 _positive_seconds = _checked(
     float, lambda value: value > 0, "a positive number of seconds"
 )
+
+
+def _fault_spec(text):
+    """``--faults``: a :class:`repro.exec.FaultSpec`, or a usage error."""
+    from repro.exec import FaultSpec
+
+    try:
+        return FaultSpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 #: Every name ``make_trace`` accepts (``repro list`` prints the same set).
 _WORKLOADS = workload_names(include_extensions=True)
 
@@ -616,19 +615,11 @@ def build_parser():
     def add_executor_flags(sub):
         sub.add_argument(
             "--workers",
-            type=int,
+            type=_positive_int,
             default=1,
             metavar="N",
             help="persistent pool workers for independent simulation cells "
             "(default: 1)",
-        )
-        sub.add_argument(
-            "--heartbeat-timeout",
-            type=float,
-            default=10.0,
-            metavar="SECONDS",
-            help="kill and respawn a pool worker silent longer than this "
-            "(default: 10)",
         )
         sub.add_argument(
             "--no-cache",
@@ -639,12 +630,6 @@ def build_parser():
             "--cache-dir",
             metavar="PATH",
             help="cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro-tempo)",
-        )
-        sub.add_argument(
-            "--resume",
-            action="store_true",
-            help="continue an interrupted sweep from its checkpoint journal "
-            "(completed cells are never re-simulated)",
         )
         sub.add_argument(
             "--max-retries",
@@ -658,7 +643,9 @@ def build_parser():
             type=_positive_seconds,
             default=None,
             metavar="SECONDS",
-            help="kill and retry any cell running longer than this",
+            help="kill and retry any cell running longer than this (default: "
+            "on the pool, a deadline that scales with the cell's records; "
+            "inline, none)",
         )
         sub.add_argument(
             "--allow-partial",
@@ -668,6 +655,7 @@ def build_parser():
         )
         sub.add_argument(
             "--faults",
+            type=_fault_spec,
             metavar="SPEC",
             help="deterministic fault injection for testing, e.g. "
             "'seed=0,kill=0.3,delay=0.2,delay-seconds=0.05,abort-after=4'",

@@ -11,11 +11,10 @@ from repro.exec.cache import QuarantineReason, ResultCache, default_cache_dir
 from repro.exec.cells import PAYLOAD_SCHEMA, SimCell, trace_key
 from repro.exec.executor import ExperimentExecutor, simulate_cell
 from repro.exec.faults import FaultPlan, FaultSpec, InjectedFault
-from repro.exec.pool import PoolConfig, WorkerContext, execute_pooled
+from repro.exec.pool import WorkerContext, execute_pooled
 from repro.exec.resilience import (
     CellExecutionError,
     CellFailure,
-    CheckpointStore,
     ResiliencePolicy,
     SweepAborted,
     missing_cell_payload,
@@ -26,13 +25,11 @@ from repro.exec.telemetry import TelemetryLog
 __all__ = [
     "CellExecutionError",
     "CellFailure",
-    "CheckpointStore",
     "ExperimentExecutor",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
     "PAYLOAD_SCHEMA",
-    "PoolConfig",
     "QuarantineReason",
     "ResiliencePolicy",
     "ResultCache",

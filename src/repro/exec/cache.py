@@ -5,7 +5,6 @@ Layout under the cache root::
     results/<aa>/<key>.json         serialized SimulationResult payloads
     traces/<aa>/<key>.trace         traceio-format generated traces
     quarantine/<aa>/<key>.<why>.json   corrupt/stale entries, moved aside
-    checkpoints/run-<digest>.journal   per-batch resume journals
 
 ``<key>`` is the SHA-256 identity from :mod:`repro.exec.cells`; ``<aa>``
 is its first two hex digits (fan-out so directories stay small).  Keys
@@ -60,9 +59,8 @@ class QuarantineReason(str, enum.Enum):
     STALE_SCHEMA = "stale-schema"
     #: The cell's simulation failed an online invariant audit.
     INVARIANT_VIOLATION = "invariant-violation"
-    #: The cell killed several pool workers in a row (the supervisor's
-    #: poison-cell guard quarantined it instead of grinding the pool
-    #: down; evidence records the kill count and last exit code).
+    #: The cell's last attempt killed its pool worker (evidence records
+    #: the exit code and the attempt count).
     POISON_CELL = "poison-cell"
 
 
@@ -148,8 +146,8 @@ class ResultCache:
         evidence: Dict[str, Any],
     ) -> str:
         """Write a quarantine *evidence* record for a cell that has no
-        cache entry to move -- e.g. an invariant violation or poison
-        cell caught before the result was ever cached.  Returns the
+        cache entry to move -- e.g. an invariant violation or a worker
+        crash caught before the result was ever cached.  Returns the
         evidence path.
         """
         label = getattr(reason, "value", reason)

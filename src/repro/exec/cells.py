@@ -18,12 +18,9 @@ The cache key hashes everything a result depends on:
   everything), and
 * a payload schema version for the serialized-result format itself.
 
-The same keys double as the resilience layer's identities: checkpoint
-journals (:class:`~repro.exec.resilience.CheckpointStore`) address a
-batch by the hash of its sorted cell keys, and the fault harness
-(:mod:`repro.exec.faults`) seeds its per-cell RNG from the key -- so
-resume and fault injection inherit the cache's exact notion of "the
-same run".
+The same keys double as the resilience layer's identities: the fault
+harness (:mod:`repro.exec.faults`) seeds its per-cell RNG from the key,
+so fault injection inherits the cache's exact notion of "the same run".
 """
 
 from __future__ import annotations

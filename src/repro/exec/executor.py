@@ -17,24 +17,23 @@ matter where each result came from:
    :func:`repro.exec.resilience.execute_resilient`.
 
 Fault tolerance (see ``docs/resilience.md`` and
-``docs/distribution.md``): every batch journals per-cell state to a
-:class:`~repro.exec.resilience.CheckpointStore` under the cache root,
-so an interrupted sweep resumed with ``resume=True`` re-simulates
-nothing that completed.  Failing cells are retried per the
-:class:`~repro.exec.resilience.ResiliencePolicy` (timeouts kill the
-worker; crashed and heartbeat-stalled workers are respawned and their
-claims requeued; a cell that kills several workers in a row is
-quarantined as a poison cell); corrupt or schema-stale cache entries
-are quarantined -- moved aside, never deleted -- and re-simulated; and
-with ``allow_partial`` a cell that exhausts its retries degrades to an
+``docs/distribution.md``): every completed cell lands in the result
+cache as it finishes, so running an interrupted sweep again
+re-simulates nothing that completed.  Failing cells are retried per the
+:class:`~repro.exec.resilience.ResiliencePolicy` (a pooled attempt past
+its deadline is killed; a crashed worker is respawned and its claim
+requeued; a cell whose last attempt still crashes its worker leaves an
+evidence record); corrupt or schema-stale cache entries are quarantined
+-- moved aside, never deleted -- and re-simulated; and with
+``allow_partial`` a cell that exhausts its retries degrades to an
 explicitly-marked missing payload (recorded in
 :attr:`ExperimentExecutor.failed_cells`) instead of aborting the
 campaign.
 
 Determinism: cells carry their own seed and every simulation derives all
 randomness from it (:mod:`repro.common.rng`), so scheduling order,
-retries, and resumption cannot leak into results -- an interrupted,
-resumed, parallel run is bit-identical to a serial uncached one.
+retries, and re-runs cannot leak into results -- an interrupted, re-run,
+parallel run is bit-identical to a serial uncached one.
 """
 
 import os
@@ -44,10 +43,9 @@ from typing import Optional, Union
 from repro.exec.cache import QuarantineReason, ResultCache
 from repro.exec.cells import PAYLOAD_SCHEMA, SimCell
 from repro.exec.faults import FaultPlan, FaultSpec
-from repro.exec.pool import PoolConfig, WorkerContext
+from repro.exec.pool import WORKER_CRASHED, WorkerContext
 from repro.exec.resilience import (
     CellExecutionError,
-    CheckpointStore,
     ResiliencePolicy,
     execute_resilient,
     missing_cell_payload,
@@ -92,6 +90,49 @@ def simulate_cell(cell, cache=None, trace_memo=None, check_invariants=None):
     return result_to_payload(result)
 
 
+#: How the executor's counters render, shared by
+#: :meth:`ExperimentExecutor.summary` and the report's provenance rows
+#: (:func:`repro.obs.manifest.executor_provenance`): ``(section,
+#: ((counter, label), ...))`` in display order.  The first section always
+#: renders in full; each later one only when one of its counters is
+#: nonzero, and then only its nonzero counters.
+COUNTER_TABLE = (
+    (
+        "executor",
+        (
+            ("simulated", "simulated"),
+            ("cache_hits", "from cache"),
+            ("memo_hits", "memoized"),
+            ("deduped", "deduplicated"),
+        ),
+    ),
+    (
+        "resilience",
+        (
+            ("retries", "retried"),
+            ("timeouts", "timed out"),
+            ("crashes", "crashed"),
+            ("quarantined", "quarantined"),
+            ("failed", "failed"),
+        ),
+    ),
+    (
+        "pool",
+        (
+            ("workers_spawned", "spawned"),
+            ("workers_respawned", "respawned"),
+        ),
+    ),
+    (
+        "execution",
+        (
+            ("inline_batches", "inline"),
+            ("pooled_batches", "pooled"),
+        ),
+    ),
+)
+
+
 class ExperimentExecutor:
     """Schedules cells across the worker pool, through the cache, in
     order.  ``workers`` is the pool size."""
@@ -102,20 +143,14 @@ class ExperimentExecutor:
         cache: Optional[ResultCache] = None,
         resilience: Optional[ResiliencePolicy] = None,
         faults: Optional[Union[FaultSpec, FaultPlan]] = None,
-        resume: bool = False,
         check_invariants: Optional[str] = None,
         telemetry: Optional[TelemetryLog] = None,
-        pool: Optional[PoolConfig] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         #: Pool size: how many persistent worker processes a batch that
         #: needs process isolation fans out across.
         self.workers = workers
-        #: Optional :class:`~repro.exec.pool.PoolConfig` override for
-        #: supervision knobs (heartbeat cadence, poison threshold).
-        #: When set it is used verbatim, including its ``workers``.
-        self.pool = pool
         #: Optional :class:`~repro.exec.telemetry.TelemetryLog`: every
         #: batch/cell lifecycle event is appended to its JSONL file.
         self.telemetry = telemetry
@@ -131,43 +166,17 @@ class ExperimentExecutor:
         #: Optional fault injection: a :class:`~repro.exec.faults.FaultSpec`
         #: (materialized per batch) or a concrete ``FaultPlan``.
         self.faults = faults
-        #: When True, trust the batch's checkpoint journal: cells it
-        #: records as done resolve from cache and count as ``resumed``.
-        self.resume = resume
         #: Terminal :class:`~repro.exec.resilience.CellFailure` records
         #: (only under ``allow_partial``; otherwise the batch raises).
         self.failed_cells = []
         self._memo = {}
         self._trace_memo = {}
-        #: Where results came from, cumulatively: ``simulated`` fresh
-        #: runs, ``cache_hits`` disk loads, ``memo_hits`` in-process
-        #: reuse, ``deduped`` duplicate cells within one batch -- plus
-        #: the resilience tallies (``resumed`` checkpoint-verified cache
-        #: hits, ``retries``/``timeouts``/``crashes`` recovered faults,
-        #: ``quarantined`` bad cache entries moved aside, ``failed``
-        #: cells degraded to missing) and the pool-fabric tallies
-        #: (``stalls`` heartbeat-deadline kills, ``steals`` cells
-        #: claimed by a non-home worker, ``workers_spawned`` /
-        #: ``workers_respawned`` pool lifecycle, ``poison_cells``
-        #: quarantined worker-killers).
+        #: Cumulative tallies, every one rendered through
+        #: :data:`COUNTER_TABLE`: where results came from, what the
+        #: resilience layer absorbed, the pool's worker lifecycle, and
+        #: how many batches ran inline or pooled.
         self.counters = {
-            "simulated": 0,
-            "cache_hits": 0,
-            "memo_hits": 0,
-            "deduped": 0,
-            "resumed": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "crashes": 0,
-            "stalls": 0,
-            "steals": 0,
-            "workers_spawned": 0,
-            "workers_respawned": 0,
-            "poison_cells": 0,
-            "quarantined": 0,
-            "failed": 0,
-            "inline_batches": 0,
-            "pooled_batches": 0,
+            name: 0 for _, fields in COUNTER_TABLE for name, _ in fields
         }
         #: Per-cause quarantine tally (``corrupt`` / ``stale-schema`` /
         #: ``invariant-violation`` / ``poison-cell``), surfaced by
@@ -195,36 +204,25 @@ class ExperimentExecutor:
         plan = self._materialize_faults(unique)
         self._inject_corruption(plan)
 
-        checkpoint = None
-        prior_done = set()
-        if self.cache is not None:
-            checkpoint = CheckpointStore.for_batch(self.cache.root, list(unique))
-            if self.resume:
-                prior_done = checkpoint.done_keys()
-            else:
-                checkpoint.reset()
-
         try:
             resolved = {}
             pending = {}
             for key, cell in unique.items():
-                payload = self._resolve_cached(key, prior_done, checkpoint)
+                payload = self._resolve_cached(key)
                 if payload is not None:
                     resolved[key] = payload
                     continue
                 pending[key] = cell
 
             if pending:
-                self._execute(pending, resolved, plan, checkpoint)
+                self._execute(pending, resolved, plan)
         finally:
-            if checkpoint is not None:
-                checkpoint.close()
             if self.telemetry is not None:
                 self.telemetry.batch_finish(self.counters)
 
         return [payload_to_result(resolved[key]) for key in keys]
 
-    def _resolve_cached(self, key, prior_done, checkpoint):
+    def _resolve_cached(self, key):
         """Try the memo, then the disk cache (quarantining bad entries).
 
         Returns the payload or ``None`` when the cell must simulate.
@@ -247,13 +245,9 @@ class ExperimentExecutor:
             self._quarantine(key, QuarantineReason.STALE_SCHEMA)
             return None
         self.counters["cache_hits"] += 1
-        if key in prior_done:
-            self.counters["resumed"] += 1
         if self.telemetry is not None:
-            self.telemetry.cache_hit(key, "disk", resumed=key in prior_done)
+            self.telemetry.cache_hit(key, "disk")
         self._memo[key] = payload
-        if checkpoint is not None:
-            checkpoint.record(key, "done", info="cache")
         return payload
 
     def _quarantine(self, key, reason, evidence=None):
@@ -268,12 +262,11 @@ class ExperimentExecutor:
         if self.telemetry is not None:
             self.telemetry.quarantine(key, label)
 
-    def _execute(self, pending, resolved, plan, checkpoint):
+    def _execute(self, pending, resolved, plan):
         """Drive the missing cells through the resilient scheduler.
 
-        Completed payloads land in the memo, the disk cache, and the
-        checkpoint journal *as they finish*, so an abort mid-batch never
-        loses finished work.
+        Completed payloads land in the memo and the disk cache *as they
+        finish*, so an abort mid-batch never loses finished work.
         """
         failures = []
         telemetry = self.telemetry
@@ -281,19 +274,15 @@ class ExperimentExecutor:
         def on_state(key, state, attempt, info):
             if telemetry is not None:
                 telemetry.cell_state(key, state, attempt, info)
-            if checkpoint is not None:
-                checkpoint.record(key, state, attempt, info)
 
         def on_done(key, payload, attempt):
             self.counters["simulated"] += 1
             self._memo[key] = payload
             resolved[key] = payload
             # Persist first, announce second: a consumer acting on
-            # ``cell_done`` (a resume after a kill) must find it durable.
+            # ``cell_done`` (a re-run after a kill) must find it durable.
             if self.cache is not None:
                 self.cache.put(key, payload)
-            if checkpoint is not None:
-                checkpoint.record(key, "done", attempt)
             if telemetry is not None:
                 telemetry.cell_done(key, attempt)
 
@@ -301,38 +290,24 @@ class ExperimentExecutor:
             failures.append(failure)
             if telemetry is not None:
                 telemetry.cell_failed(failure.key, failure.attempts, failure.error)
-            if self.cache is not None and failure.error.startswith(
-                "InvariantViolation"
-            ):
+            if self.cache is None:
+                return
+            evidence = {
+                "key": failure.key,
+                "error": failure.error,
+                "attempts": failure.attempts,
+            }
+            if failure.error.startswith("InvariantViolation"):
                 # The violating run's result must never be trusted: move
                 # any cached entry aside and leave an evidence record.
                 self._quarantine(
-                    failure.key,
-                    QuarantineReason.INVARIANT_VIOLATION,
-                    evidence={
-                        "key": failure.key,
-                        "error": failure.error,
-                        "attempts": failure.attempts,
-                    },
+                    failure.key, QuarantineReason.INVARIANT_VIOLATION, evidence
                 )
-            if self.cache is not None and failure.error.startswith("PoisonCell"):
-                # The cell killed several pool workers in a row; leave
-                # evidence so the kill count and exit code survive the
-                # run (docs/distribution.md).
-                self._quarantine(
-                    failure.key,
-                    QuarantineReason.POISON_CELL,
-                    evidence={
-                        "key": failure.key,
-                        "error": failure.error,
-                        "attempts": failure.attempts,
-                        "workloads": failure.workloads,
-                    },
-                )
-            if checkpoint is not None:
-                checkpoint.record(
-                    failure.key, "failed", failure.attempts, failure.error
-                )
+            elif failure.error.startswith(WORKER_CRASHED):
+                # Its last attempt killed a pool worker: keep the exit
+                # code and attempt count past the run.
+                evidence["workloads"] = failure.workloads
+                self._quarantine(failure.key, QuarantineReason.POISON_CELL, evidence)
 
         def run_inline(cell):
             return simulate_cell(
@@ -358,27 +333,15 @@ class ExperimentExecutor:
             plan=plan,
             run_inline=run_inline,
             worker_context=worker_context,
-            pool=self.pool,
             on_state=on_state,
             on_done=on_done,
             on_failed=on_failed,
             on_worker=on_worker,
         )
-        for name in (
-            "retries",
-            "timeouts",
-            "crashes",
-            "stalls",
-            "steals",
-            "workers_spawned",
-            "workers_respawned",
-            "poison_cells",
-        ):
-            self.counters[name] += stats.get(name, 0)
-        if stats.get("pooled"):
-            self.counters["pooled_batches"] += 1
-        else:
-            self.counters["inline_batches"] += 1
+        pooled = stats.pop("pooled")
+        for name, count in stats.items():
+            self.counters[name] += count
+        self.counters["pooled_batches" if pooled else "inline_batches"] += 1
 
         if failures:
             self.failed_cells.extend(failures)
@@ -421,45 +384,33 @@ class ExperimentExecutor:
 
     # ------------------------------------------------------------------
 
+    def counter_rows(self):
+        """``(section, text)`` rows of :data:`COUNTER_TABLE`, then the
+        per-cause quarantine tally, for every section that renders."""
+        rows = []
+        for index, (section, fields) in enumerate(COUNTER_TABLE):
+            shown = [
+                "%d %s" % (self.counters[name], label)
+                for name, label in fields
+                if index == 0 or self.counters[name]
+            ]
+            if shown:
+                rows.append((section, ", ".join(shown)))
+        if self.quarantine_reasons:
+            rows.append(
+                (
+                    "quarantine",
+                    ", ".join(
+                        "%d %s" % (count, reason)
+                        for reason, count in sorted(self.quarantine_reasons.items())
+                    ),
+                )
+            )
+        return rows
+
     def summary(self):
         """One status line: where this executor's results came from."""
-        line = (
-            "executor: %(simulated)d simulated, %(cache_hits)d from cache, "
-            "%(memo_hits)d memoized, %(deduped)d deduplicated" % self.counters
-        )
-        extras = [
-            "%d %s" % (self.counters[name], label)
-            for name, label in (
-                ("resumed", "resumed"),
-                ("retries", "retried"),
-                ("timeouts", "timed out"),
-                ("crashes", "crashed"),
-                ("stalls", "stalled"),
-                ("quarantined", "quarantined"),
-                ("failed", "failed"),
-            )
-            if self.counters[name]
-        ]
-        if extras:
-            line += "; resilience: " + ", ".join(extras)
-        pool_extras = [
-            "%d %s" % (self.counters[name], label)
-            for name, label in (
-                ("workers_spawned", "spawned"),
-                ("workers_respawned", "respawned"),
-                ("steals", "stolen"),
-                ("poison_cells", "poison"),
-            )
-            if self.counters[name]
-        ]
-        if pool_extras:
-            line += "; pool: " + ", ".join(pool_extras)
-        if self.quarantine_reasons:
-            line += "; quarantine: " + ", ".join(
-                "%d %s" % (count, reason)
-                for reason, count in sorted(self.quarantine_reasons.items())
-            )
-        return line
+        return "; ".join("%s: %s" % row for row in self.counter_rows())
 
     def __repr__(self):
         return "ExperimentExecutor(workers=%d, cache=%r)" % (

@@ -7,9 +7,8 @@ crashes.  This module provides that schedule:
 * :class:`FaultPlan` -- a concrete, picklable script of faults keyed by
   cell key and attempt number: kill the worker (``os._exit``), delay the
   cell (to trip timeouts), raise an injected exception, corrupt a cache
-  entry, stall a pool worker's heartbeat (to trip the supervisor's
-  liveness deadline), or abort the whole sweep after N completed cells
-  (a deterministic stand-in for ``kill -9`` mid-run).
+  entry, or abort the whole sweep after N completed cells (a
+  deterministic stand-in for ``kill -9`` mid-run).
 * :class:`FaultSpec` -- a rate-based description (``kill=0.3``) that
   materialises into a :class:`FaultPlan` once the batch's cell keys are
   known.  Selection draws from :class:`~repro.common.rng.DeterministicRng`
@@ -46,36 +45,21 @@ class FaultPlan:
     ``kill``/``fail``/``delay`` map a cell key to the attempt numbers
     the fault fires on (``delay`` pairs each attempt with a duration in
     seconds).  ``corrupt`` lists cell keys whose cache entries the
-    harness garbles before the batch resolves.  ``stall`` maps a cell
-    key to attempts on which the executing pool worker suppresses its
-    heartbeats and sleeps ``stall_seconds`` -- a deterministic hung
-    worker, recovered by the supervisor's heartbeat deadline.
-    ``abort_after`` aborts the sweep (raising ``SweepAborted`` in the
-    scheduler) once that many cells have completed -- the deterministic
-    "killed mid-run" fault.
+    harness garbles before the batch resolves.  ``abort_after`` aborts
+    the sweep (raising ``SweepAborted`` in the scheduler) once that many
+    cells have completed -- the deterministic "killed mid-run" fault.
     """
 
     kill: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
     fail: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
     delay: Mapping[str, Tuple[Tuple[int, float], ...]] = field(default_factory=dict)
     corrupt: Tuple[str, ...] = ()
-    stall: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
-    stall_seconds: float = 30.0
     abort_after: Optional[int] = None
 
     def has_kills(self) -> bool:
         """True when any cell is scheduled to kill its worker (the
         scheduler then forces process isolation)."""
         return any(attempts for attempts in self.kill.values())
-
-    def has_stalls(self) -> bool:
-        """True when any cell is scheduled to stall its worker's
-        heartbeat; only the pool supervisor can recover from that, so
-        the scheduler forces pooled execution."""
-        return any(attempts for attempts in self.stall.values())
-
-    def should_stall(self, key: str, attempt: int) -> bool:
-        return attempt in self.stall.get(key, ())
 
     def delay_for(self, key: str, attempt: int) -> float:
         for when, seconds in self.delay.get(key, ()):
@@ -116,7 +100,7 @@ class FaultSpec:
     The CLI's ``--faults`` flag parses into one of these; the executor
     calls :meth:`materialize` once the batch's cell keys are known.
     Rates are per-cell probabilities; every injected
-    kill/fail/delay/stall fires on attempt 0 only, so a policy with at
+    kill/fail/delay fires on attempt 0 only, so a policy with at
     least one retry always recovers.
     """
 
@@ -126,30 +110,17 @@ class FaultSpec:
     delay_rate: float = 0.0
     delay_seconds: float = 0.05
     corrupt_rate: float = 0.0
-    stall_rate: float = 0.0
-    stall_seconds: float = 30.0
     abort_after: Optional[int] = None
 
-    #: ``--faults`` field names -> FaultSpec attributes.  ``worker_kill``
-    #: is the pool-era name for ``kill``: in a persistent pool, a kill
-    #: fault fired mid-cell *is* the death of a long-lived worker (the
-    #: supervisor respawns it and requeues the claim).
+    #: ``--faults`` field names -> FaultSpec attributes.
     _FIELDS = {
         "seed": "seed",
         "kill": "kill_rate",
-        "worker_kill": "kill_rate",
-        "worker-kill": "kill_rate",
         "fail": "fail_rate",
         "delay": "delay_rate",
         "delay-seconds": "delay_seconds",
-        "delay_seconds": "delay_seconds",
         "corrupt": "corrupt_rate",
-        "heartbeat_stall": "stall_rate",
-        "heartbeat-stall": "stall_rate",
-        "stall-seconds": "stall_seconds",
-        "stall_seconds": "stall_seconds",
         "abort-after": "abort_after",
-        "abort_after": "abort_after",
     }
 
     @classmethod
@@ -165,7 +136,7 @@ class FaultSpec:
             if attr is None or not raw:
                 raise ValueError(
                     "bad --faults field %r (known: %s)"
-                    % (part, ", ".join(sorted(set(cls._FIELDS))))
+                    % (part, ", ".join(cls._FIELDS))
                 )
             if attr in ("seed", "abort_after"):
                 values[attr] = int(raw)
@@ -177,15 +148,15 @@ class FaultSpec:
         """Roll the per-key dice and return the concrete plan.
 
         Deterministic in ``(seed, key)`` alone: the same cell draws the
-        same faults regardless of batch composition or ordering.  New
-        fault kinds draw *after* the original four so historical
-        ``(seed, rate)`` pairs keep selecting the same cells.
+        same faults regardless of batch composition or ordering.  The
+        draws run in a fixed order (kill, fail, delay, corrupt); a new
+        fault kind draws after them so historical ``(seed, rate)`` pairs
+        keep selecting the same cells.
         """
         kill: Dict[str, Tuple[int, ...]] = {}
         fail: Dict[str, Tuple[int, ...]] = {}
         delay: Dict[str, Tuple[Tuple[int, float], ...]] = {}
         corrupt: List[str] = []
-        stall: Dict[str, Tuple[int, ...]] = {}
         for key in sorted(keys):
             rng = DeterministicRng(self.seed, "exec.faults/%s" % key)
             if rng.random() < self.kill_rate:
@@ -196,14 +167,10 @@ class FaultSpec:
                 delay[key] = ((0, self.delay_seconds),)
             if rng.random() < self.corrupt_rate:
                 corrupt.append(key)
-            if rng.random() < self.stall_rate:
-                stall[key] = (0,)
         return FaultPlan(
             kill=kill,
             fail=fail,
             delay=delay,
             corrupt=tuple(corrupt),
-            stall=stall,
-            stall_seconds=self.stall_seconds,
             abort_after=self.abort_after,
         )

@@ -2,61 +2,42 @@
 
 Large sweeps run thousands of cells; a single hung workload, crashed
 worker, or corrupted cache entry must cost one cell, not the campaign.
-This module wraps cell execution in four mechanisms (the executor wires
+This module wraps cell execution in three mechanisms (the executor wires
 them together; ``docs/resilience.md`` is the user-facing story):
 
-* :class:`ResiliencePolicy` -- per-cell timeouts and bounded retries
-  with deterministic linear backoff, plus the ``allow_partial`` switch
-  that turns exhausted retries into explicitly-missing cells instead of
-  an aborted sweep.
-* :class:`CheckpointStore` -- an append-only JSONL journal of per-cell
-  state (``pending``/``running``/``done``/``failed``) under the cache
-  directory, addressed by the batch's content hash.  A killed run
-  resumes with zero re-simulation of completed cells: their payloads
-  are already in the result cache, and the journal proves which ones.
+* :class:`ResiliencePolicy` -- the one retry budget, the per-cell
+  timeout, and the ``allow_partial`` switch that turns exhausted
+  retries into explicitly-missing cells instead of an aborted sweep.
 * :func:`execute_resilient` -- the scheduler facade.  Inline when
   nothing requires a process boundary; otherwise the batch runs on the
   supervised persistent worker pool (:mod:`repro.exec.pool`), which is
-  what makes kill-on-timeout, crashed-worker detection and respawn,
-  heartbeat-deadline stall recovery, and poison-cell quarantine
+  what makes kill-on-deadline and crashed-worker detection and respawn
   possible at all.
 * :func:`missing_cell_payload` -- the schema-correct zeroed payload a
   permanently-failed cell degrades to under ``allow_partial``; every
   breakdown reads 0 and ``stats["missing_cell"]`` marks it.
 
+An interrupted sweep needs no mechanism of its own: every completed
+cell is already in the content-addressed result cache, so running the
+same sweep again re-simulates only what did not finish.
+
 Determinism: cells are pure functions of their identity, so no retry,
-timeout, re-queue, or resume can change a result -- an interrupted-and-
-resumed sweep is bit-identical to an uninterrupted one (enforced by
+timeout, re-queue, or re-run can change a result -- an interrupted and
+re-run sweep is bit-identical to an uninterrupted one (enforced by
 ``tests/test_resilience.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import time
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    IO,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.common.errors import InvariantViolation, ReproError
 from repro.exec.cells import PAYLOAD_SCHEMA, SimCell
 from repro.exec.faults import FaultPlan
 
 if TYPE_CHECKING:  # import cycle: pool imports this module at runtime
-    from repro.exec.pool import OnWorker, PoolConfig, WorkerContext
+    from repro.exec.pool import OnWorker, WorkerContext
 
 Payload = Dict[str, Any]
 
@@ -71,15 +52,12 @@ def _is_terminal(error: str) -> bool:
     attempt.  Worker errors cross the process boundary as
     ``"TypeName: message"`` strings, hence the prefix check.
     """
-    return error.startswith(
-        (InvariantViolation.__name__, "PoisonCell")
-    )
+    return error.startswith(InvariantViolation.__name__)
 
 
 class SweepAborted(ReproError):
     """The sweep was deliberately interrupted mid-run (fault injection's
-    ``abort_after`` or an operator kill); the checkpoint journal holds
-    the completed prefix."""
+    ``abort_after``); the result cache holds the completed cells."""
 
 
 class CellExecutionError(ReproError):
@@ -105,21 +83,18 @@ class ResiliencePolicy:
     """How hard to try before giving a cell up.
 
     ``max_retries`` bounds *re*-tries: a cell is attempted at most
-    ``max_retries + 1`` times.  ``cell_timeout`` (seconds of wall clock
-    per attempt) requires process isolation and kills the worker on
-    expiry.  ``backoff_seconds`` sleeps ``attempt * backoff_seconds``
-    before retry *attempt*.  ``heartbeat_timeout`` is the pool
-    supervisor's liveness deadline: a worker silent that long is killed
-    and respawned and its claim requeued (see
-    :mod:`repro.exec.pool`).  ``allow_partial`` degrades exhausted
-    cells to :func:`missing_cell_payload` instead of raising
+    ``max_retries + 1`` times, whether its attempts raise, crash their
+    worker, or time out.  ``cell_timeout`` (seconds of wall clock per
+    attempt) requires process isolation and kills the worker on expiry;
+    left ``None``, the pool derives each cell's deadline from its record
+    count (:func:`repro.exec.pool.cell_deadline`) and the inline path
+    has none.  ``allow_partial`` degrades exhausted cells to
+    :func:`missing_cell_payload` instead of raising
     :class:`CellExecutionError`.
     """
 
     max_retries: int = 2
     cell_timeout: Optional[float] = None
-    backoff_seconds: float = 0.0
-    heartbeat_timeout: float = 10.0
     allow_partial: bool = False
 
 
@@ -131,91 +106,6 @@ class CellFailure:
     workloads: str
     attempts: int
     error: str
-
-
-# ----------------------------------------------------------------------
-# Checkpoint journal
-# ----------------------------------------------------------------------
-
-
-class CheckpointStore:
-    """Append-only JSONL journal of per-cell state for one batch.
-
-    One line per transition: ``{"key": ..., "state": "pending" |
-    "running" | "done" | "failed", "attempt": N, "info": ...}``.  The
-    journal lives at ``<cache_root>/checkpoints/run-<digest>.journal``
-    where ``<digest>`` hashes the batch's sorted cell keys -- re-issuing
-    the same sweep finds the same journal, so ``--resume`` needs no run
-    id.  Replay keeps the last state per key and tolerates a torn final
-    line (the crash the journal exists to survive).
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._stream: Optional[IO[str]] = None
-
-    @classmethod
-    def for_batch(cls, root: str, keys: Sequence[str]) -> "CheckpointStore":
-        """The journal for the batch identified by *keys* under *root*."""
-        canonical = "\n".join(sorted(set(keys)))
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-        return cls(os.path.join(root, "checkpoints", "run-%s.journal" % digest))
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
-    def reset(self) -> None:
-        """Start a fresh journal (a non-resume run discards history)."""
-        self.close()
-        if os.path.exists(self.path):
-            os.unlink(self.path)
-
-    def record(self, key: str, state: str, attempt: int = 0, info: str = "") -> None:
-        """Append one state transition and flush it to the OS."""
-        if self._stream is None:
-            os.makedirs(os.path.dirname(self.path), exist_ok=True)
-            self._stream = open(self.path, "a")
-        entry: Dict[str, Any] = {"key": key, "state": state, "attempt": attempt}
-        if info:
-            entry["info"] = info
-        self._stream.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._stream.flush()
-
-    def states(self) -> Dict[str, Dict[str, Any]]:
-        """Replay the journal: last recorded entry per cell key."""
-        states: Dict[str, Dict[str, Any]] = {}
-        try:
-            with open(self.path) as stream:
-                for line in stream:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn final line from a killed writer
-                    key = entry.get("key")
-                    if isinstance(key, str):
-                        states[key] = entry
-        except FileNotFoundError:
-            pass
-        return states
-
-    def done_keys(self) -> Set[str]:
-        """Cells whose last journaled state is ``done``."""
-        return {
-            key
-            for key, entry in self.states().items()
-            if entry.get("state") == "done"
-        }
-
-    def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-
-    def __repr__(self) -> str:
-        return "CheckpointStore(%r)" % self.path
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +167,7 @@ def missing_cell_payload(cell: SimCell) -> Payload:
 # The resilient scheduler
 # ----------------------------------------------------------------------
 
-#: ``on_state(key, state, attempt, info)`` -- journal/counter hook.
+#: ``on_state(key, state, attempt, info)`` -- telemetry hook.
 OnState = Callable[[str, str, int, str], None]
 #: ``on_done(key, payload, attempt)`` -- success hook (cache + memo).
 OnDone = Callable[[str, Payload, int], None]
@@ -295,9 +185,9 @@ def needs_isolation(
 ) -> bool:
     """Whether cells must (or may usefully) run on the worker pool.
 
-    A kill switch (timeouts), kill faults, and heartbeat-stall faults
-    *require* a process boundary -- only the pool supervisor can kill a
-    hung worker or survive a dead one.  Parallelism (``workers > 1``)
+    A kill switch (an explicit timeout) and kill faults *require* a
+    process boundary -- only the pool supervisor can kill a hung worker
+    or survive a dead one.  Parallelism (``workers > 1``)
     merely benefits from one; since the persistent pool amortizes its
     spawn cost over the whole batch, the old per-cell spawn cost model
     (``SPAWN_OVERHEAD_SECONDS``) is retired and any multi-cell batch
@@ -305,7 +195,7 @@ def needs_isolation(
     """
     if policy.cell_timeout is not None:
         return True
-    if plan is not None and (plan.has_kills() or plan.has_stalls()):
+    if plan is not None and plan.has_kills():
         return True
     if workers <= 1:
         return False
@@ -320,7 +210,6 @@ def execute_resilient(
     plan: Optional[FaultPlan],
     run_inline: RunInline,
     worker_context: Optional["WorkerContext"] = None,
-    pool: Optional["PoolConfig"] = None,
     on_state: OnState,
     on_done: OnDone,
     on_failed: OnFailed,
@@ -328,12 +217,12 @@ def execute_resilient(
 ) -> Dict[str, int]:
     """Drive every pending cell to ``done`` or ``failed``.
 
-    Results, journal entries, and cache writes happen through the hooks
-    *as each cell completes*, so an abort (``SweepAborted``,
-    ``KeyboardInterrupt``) never loses finished work.  Batches that
-    need a process boundary run on the supervised persistent pool
-    (:func:`repro.exec.pool.execute_pooled`, sized by *workers* unless
-    *pool* overrides it); everything else runs inline in this process.
+    Results and cache writes happen through the hooks *as each cell
+    completes*, so an abort (``SweepAborted``, ``KeyboardInterrupt``)
+    never loses finished work.  Batches that need a process boundary
+    run on the supervised persistent pool
+    (:func:`repro.exec.pool.execute_pooled`, sized by *workers*);
+    everything else runs inline in this process.
     Returns scheduler stats: ``retries``, ``timeouts``, ``crashes``,
     the pool's supervision counters, plus ``pooled`` (1 when the pool
     was used, 0 for the inline path) so the executor can record the
@@ -342,16 +231,13 @@ def execute_resilient(
     if needs_isolation(workers, policy, plan, pending):
         # Imported here: pool imports this module at import time, so the
         # reverse edge must stay lazy to avoid a cycle.
-        from repro.exec.pool import PoolConfig, WorkerContext, execute_pooled
+        from repro.exec.pool import WorkerContext, execute_pooled
 
-        config = pool if pool is not None else PoolConfig(
-            workers=workers, heartbeat_timeout=policy.heartbeat_timeout
-        )
         stats = execute_pooled(
             pending,
+            workers=workers,
             policy=policy,
             plan=plan,
-            config=config,
             context=worker_context if worker_context is not None else WorkerContext(),
             on_state=on_state,
             on_done=on_done,
@@ -371,11 +257,6 @@ def execute_resilient(
     )
     stats["pooled"] = 0
     return stats
-
-
-def _backoff(policy: ResiliencePolicy, attempt: int) -> None:
-    if policy.backoff_seconds > 0:
-        time.sleep(policy.backoff_seconds * attempt)
 
 
 def _check_abort(plan: Optional[FaultPlan], completed: int, total: int) -> None:
@@ -429,7 +310,6 @@ def _execute_inline(
                     break
                 stats["retries"] += 1
                 on_state(key, "pending", attempt, "retrying: %s" % error)
-                _backoff(policy, attempt)
                 continue
             on_done(key, payload, attempt)
             completed += 1

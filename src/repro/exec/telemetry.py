@@ -18,7 +18,9 @@ import json
 import time
 from typing import IO, Any, Dict, Optional
 
-TELEMETRY_SCHEMA = 1
+#: Schema 2: ``cache_hit`` lost its ``resumed`` field, and the
+#: ``worker`` actions are ``spawned``/``respawned``/``crashed``/``timed_out``.
+TELEMETRY_SCHEMA = 2
 
 
 class TelemetryLog:
@@ -80,9 +82,9 @@ class TelemetryLog:
         self._running_since.pop(key, None)
         self._emit("cell_failed", {"key": key, "attempts": attempts, "error": error})
 
-    def cache_hit(self, key: str, source: str, resumed: bool = False) -> None:
+    def cache_hit(self, key: str, source: str) -> None:
         """*source* is ``memo`` or ``disk``."""
-        self._emit("cache_hit", {"key": key, "source": source, "resumed": resumed})
+        self._emit("cache_hit", {"key": key, "source": source})
 
     def quarantine(self, key: str, reason: str) -> None:
         self._emit("quarantine", {"key": key, "reason": reason})
@@ -91,8 +93,8 @@ class TelemetryLog:
 
     def worker_event(self, action: str, worker_id: int, info: str = "") -> None:
         """A pool-worker lifecycle event (``spawned`` / ``respawned`` /
-        ``crashed`` / ``stalled`` / ``poison``); *info* carries the exit
-        code or the cell key prefix involved."""
+        ``crashed`` / ``timed_out``); *info* carries the exit code or
+        the prefix of the cell key killed at its deadline."""
         fields: Dict[str, Any] = {"action": action, "worker": worker_id}
         if info:
             fields["info"] = str(info)

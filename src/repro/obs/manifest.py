@@ -35,68 +35,8 @@ def executor_provenance(executor: Any) -> List[Tuple[str, str]]:
     when a sweep was allowed to degrade -- exactly which cells are
     missing.  The report renders these under its Provenance section.
     """
-    counters: Dict[str, int] = dict(executor.counters)
-    rows: List[Tuple[str, str]] = [
-        (
-            "executor",
-            "workers=%d; %d simulated, %d cache hits, %d memo hits, %d deduplicated"
-            % (
-                executor.workers,
-                counters.get("simulated", 0),
-                counters.get("cache_hits", 0),
-                counters.get("memo_hits", 0),
-                counters.get("deduped", 0),
-            ),
-        )
-    ]
-    resilience = [
-        "%d %s" % (counters.get(name, 0), label)
-        for name, label in (
-            ("resumed", "resumed"),
-            ("retries", "retried"),
-            ("timeouts", "timed out"),
-            ("crashes", "crashed workers"),
-            ("stalls", "stalled workers"),
-            ("quarantined", "quarantined entries"),
-            ("failed", "failed cells"),
-        )
-        if counters.get(name, 0)
-    ]
-    if resilience:
-        rows.append(("resilience", ", ".join(resilience)))
-    pool = [
-        "%d %s" % (counters.get(name, 0), label)
-        for name, label in (
-            ("workers_spawned", "spawned"),
-            ("workers_respawned", "respawned"),
-            ("steals", "stolen cells"),
-            ("poison_cells", "poison cells"),
-        )
-        if counters.get(name, 0)
-    ]
-    if pool:
-        rows.append(("pool", ", ".join(pool)))
-    modes = [
-        "%d %s" % (counters.get(name, 0), label)
-        for name, label in (
-            ("inline_batches", "inline"),
-            ("pooled_batches", "pooled"),
-        )
-        if counters.get(name, 0)
-    ]
-    if modes:
-        rows.append(("execution", ", ".join(modes)))
-    reasons: Mapping[str, int] = getattr(executor, "quarantine_reasons", None) or {}
-    if reasons:
-        rows.append(
-            (
-                "quarantine",
-                ", ".join(
-                    "%d %s" % (count, reason)
-                    for reason, count in sorted(reasons.items())
-                ),
-            )
-        )
+    rows: List[Tuple[str, str]] = list(executor.counter_rows())
+    rows[0] = (rows[0][0], "workers=%d; %s" % (executor.workers, rows[0][1]))
     telemetry = getattr(executor, "telemetry", None)
     if telemetry is not None:
         rows.append(

@@ -172,7 +172,7 @@ def test_experiment_telemetry_flag_writes_jsonl(tmp_path):
     assert kinds[0] == "batch_start"
     assert "batch_finish" in kinds
     assert any(k in ("cell_done", "cache_hit") for k in kinds)
-    assert all(event["schema"] == 1 for event in events)
+    assert all(event["schema"] == 2 for event in events)
 
 
 def test_experiment_fixed_set_warns_on_workloads_filter():
@@ -233,6 +233,9 @@ def test_single_workload_ablation_rejects_two_workloads(tmp_path):
         ["experiment", "fig01", "--workloads", "xsbench", "--cell-timeout", "0"],
         ["experiment", "fig01", "--workloads", "xsbench", "--max-retries", "-2"],
         ["experiment", "fig01", "--workloads", "xsbench", "--check-invariants", "always"],
+        ["experiment", "fig01", "--workloads", "xsbench", "--workers", "0"],
+        ["experiment", "fig01", "--workloads", "xsbench", "--faults", "seed=0,bogus=1"],
+        ["experiment", "fig01", "--workloads", "xsbench", "--faults", "heartbeat_stall=0.2"],
     ],
     ids="_".join,
 )

@@ -3,24 +3,24 @@
 
 The contract under test is bit-identity: cells are pure functions of
 their identity, so a pooled sweep riddled with injected worker kills
-and heartbeat stalls must produce results identical to a fault-free
-serial run -- the faults may only show up in the counters.
+and delays must produce results identical to a fault-free serial run --
+the faults may only show up in the counters.
 
 Layers, cheapest first:
 
-* executor-level chaos sweeps (worker_kill + heartbeat_stall) against a
-  serial reference;
+* executor-level chaos sweeps (kill + delay) against a serial reference;
 * one batch under the ``spawn`` start method, which pickles every
   worker's target and arguments for real;
-* the poison-cell guard: a cell that kills consecutive workers is
-  quarantined with evidence instead of grinding the pool down;
+* a crash loop: a cell that kills every worker it runs on fails once the
+  retry budget is spent, and leaves evidence;
 * supervisor death: SIGKILL the whole ``repro experiment`` process
-  mid-sweep, then ``--resume`` and require zero lost work.
+  mid-sweep, then run it again and require zero lost work.
 """
 
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -33,12 +33,12 @@ from repro.exec import (
     ExperimentExecutor,
     FaultPlan,
     FaultSpec,
-    PoolConfig,
     ResiliencePolicy,
     ResultCache,
     TelemetryLog,
 )
 from repro.exec.cells import SimCell
+from repro.exec.faults import KILL_EXIT_CODE
 from repro.exec.serialize import result_to_payload
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,7 +63,7 @@ def _comparable(result):
 
 
 # ---------------------------------------------------------------------------
-# chaos sweep: worker kills + heartbeat stalls vs a fault-free serial run
+# chaos sweep: worker kills + delays vs a fault-free serial run
 
 
 def test_chaos_pool_sweep_bit_identical_to_serial(tmp_path):
@@ -71,20 +71,15 @@ def test_chaos_pool_sweep_bit_identical_to_serial(tmp_path):
     serial = ExperimentExecutor(workers=1)
     reference = [_comparable(r) for r in serial.run_cells(cells)]
 
-    spec = FaultSpec.parse(
-        "seed=39,worker_kill=0.5,heartbeat_stall=0.3,stall-seconds=5"
-    )
+    spec = FaultSpec.parse("seed=39,kill=0.5,delay=0.3,delay-seconds=0.2")
     plan = spec.materialize([cell.key() for cell in cells])
-    # Seed 39 over these six cells draws both fault kinds, disjointly --
-    # the accounting below relies on that.
-    assert plan.kill and plan.stall
-    assert not set(plan.kill) & set(plan.stall)
+    # Seed 39 over these six cells draws both fault kinds.
+    assert plan.kill and plan.delay
 
     telemetry_path = str(tmp_path / "chaos.jsonl")
     chaotic = ExperimentExecutor(
         workers=3,
         faults=spec,
-        resilience=ResiliencePolicy(heartbeat_timeout=0.6),
         telemetry=TelemetryLog(telemetry_path),
     )
     results = [_comparable(r) for r in chaotic.run_cells(cells)]
@@ -93,12 +88,12 @@ def test_chaos_pool_sweep_bit_identical_to_serial(tmp_path):
     assert results == reference
     counters = chaotic.counters
     assert counters["crashes"] == len(plan.kill)
-    assert counters["stalls"] == len(plan.stall)
-    assert counters["retries"] == len(plan.kill) + len(plan.stall)
+    assert counters["retries"] == len(plan.kill)
+    assert counters["timeouts"] == 0
     assert counters["workers_respawned"] == counters["retries"]
     assert counters["workers_spawned"] == 3 + counters["workers_respawned"]
     assert counters["simulated"] == len(cells)
-    assert counters["failed"] == 0 and counters["poison_cells"] == 0
+    assert counters["failed"] == 0
 
     events = [json.loads(line) for line in open(telemetry_path)]
     worker_events = [e for e in events if e["event"] == "worker"]
@@ -106,9 +101,7 @@ def test_chaos_pool_sweep_bit_identical_to_serial(tmp_path):
     assert actions.count("spawned") == 3
     assert actions.count("respawned") == counters["workers_respawned"]
     assert actions.count("crashed") >= len(plan.kill)
-    assert actions.count("stalled") == len(plan.stall)
-    # Additive events only: the telemetry schema did not change.
-    assert {e["schema"] for e in events} == {1}
+    assert {e["schema"] for e in events} == {2}
 
 
 def test_spawn_pool_batch_bit_identical_to_serial(tmp_path, monkeypatch):
@@ -132,27 +125,40 @@ def test_spawn_pool_batch_bit_identical_to_serial(tmp_path, monkeypatch):
 def test_pool_reports_steals_and_beats_spawn_per_cell(tmp_path):
     """Work stealing falls out of the shared queue: pin whichever worker
     claims the first cell with a delay fault, and the other worker must
-    steal at least one cell homed to it."""
+    claim most of the rest (claims are read from the ``running`` events,
+    whose ``info`` names the worker)."""
     cells = _cells(length=400, workloads=("xsbench", "mcf", "lsh", "canneal"))
     plan = FaultPlan(delay={cells[0].key(): ((0, 0.5),)})
+    telemetry_path = str(tmp_path / "claims.jsonl")
     pooled = ExperimentExecutor(
-        workers=2, cache=ResultCache(str(tmp_path)), faults=plan
+        workers=2,
+        cache=ResultCache(str(tmp_path / "cache")),
+        faults=plan,
+        telemetry=TelemetryLog(telemetry_path),
     )
     results = pooled.run_cells(cells)
+    pooled.telemetry.close()
     assert len(results) == len(cells)
     assert pooled.counters["pooled_batches"] == 1
     assert pooled.counters["workers_spawned"] == 2
-    # Cells are homed round-robin (0->w0, 1->w1, 2->w0, 3->w1).  With
-    # one worker stuck on cell 0 for 0.5s, the free worker claims the
-    # rest -- at least one of which is homed to the stuck worker.
-    assert pooled.counters["steals"] >= 1
+    claims = {
+        event["key"]: event["info"]
+        for event in map(json.loads, open(telemetry_path))
+        if event["event"] == "cell_state" and event["state"] == "running"
+    }
+    stuck = claims[cells[0].key()]
+    # With one worker stuck on cell 0 for 0.5s, the free worker claims
+    # at least two of the other three cells.
+    assert sum(claims[cell.key()] != stuck for cell in cells[1:]) >= 2
 
 
 # ---------------------------------------------------------------------------
-# poison cells
+# crash loops
 
 
 def test_poison_cell_quarantined_with_evidence(tmp_path):
+    """A cell that kills its worker on every attempt ends at the retry
+    budget (3 deaths with ``max_retries`` 2) and leaves evidence."""
     cells = _cells(length=400, workloads=("xsbench", "mcf"))
     poison_key = cells[0].key()
     plan = FaultPlan(kill={poison_key: (0, 1, 2)})
@@ -160,18 +166,19 @@ def test_poison_cell_quarantined_with_evidence(tmp_path):
         workers=2,
         cache=ResultCache(str(tmp_path)),
         faults=plan,
-        resilience=ResiliencePolicy(allow_partial=True, heartbeat_timeout=5.0),
-        pool=PoolConfig(workers=2, poison_threshold=2),
+        resilience=ResiliencePolicy(max_retries=2, allow_partial=True),
     )
     results = executor.run_cells(cells)
 
-    assert executor.counters["poison_cells"] == 1
+    assert executor.counters["crashes"] == 3
+    assert executor.counters["retries"] == 2
     assert executor.counters["failed"] == 1
     assert executor.counters["simulated"] == 1  # the healthy cell
     assert executor.quarantine_reasons == {"poison-cell": 1}
     [failure] = executor.failed_cells
     assert failure.key == poison_key
-    assert failure.error.startswith("PoisonCell")
+    assert failure.attempts == 3
+    assert failure.error == "worker crashed (exit %d)" % KILL_EXIT_CODE
 
     evidence_path = os.path.join(
         str(tmp_path),
@@ -181,7 +188,8 @@ def test_poison_cell_quarantined_with_evidence(tmp_path):
     )
     evidence = json.load(open(evidence_path))
     assert evidence["key"] == poison_key
-    assert "killed 2 consecutive worker(s)" in evidence["error"]
+    assert evidence["attempts"] == 3
+    assert "exit %d" % KILL_EXIT_CODE in evidence["error"]
 
     # The degraded stand-in is explicitly marked, the healthy cell real.
     assert results[0].stats.get("missing_cell") == 1
@@ -189,7 +197,7 @@ def test_poison_cell_quarantined_with_evidence(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# supervisor death: kill -9 the whole sweep, then --resume
+# supervisor death: kill -9 the whole sweep, then run it again
 
 
 def _run_cli(argv, **kwargs):
@@ -268,7 +276,7 @@ def test_sigkill_supervisor_then_resume_is_bit_identical(tmp_path):
         process.wait(timeout=30)
         if workers is not None:
             # Orphaned pool workers notice the dead supervisor at their
-            # next heartbeat (every 0.25 s) and exit.
+            # next parent check (every 0.25 s) and exit.
             assert workers, "the supervisor had no pool workers at the kill"
             deadline = time.monotonic() + 2.0
             while time.monotonic() < deadline and any(map(_alive, workers)):
@@ -279,9 +287,13 @@ def test_sigkill_supervisor_then_resume_is_bit_identical(tmp_path):
             process.kill()
             process.wait(timeout=30)
 
-    resumed = _run_cli(argv + ["--resume"], timeout=300)
-    assert resumed.returncode == 0, resumed.stdout
-    assert "resumed" in resumed.stdout
+    rerun = _run_cli(argv, timeout=300)
+    assert rerun.returncode == 0, rerun.stdout
+    # The cells done before the kill come back from the cache.
+    from_cache = re.search(
+        r"^executor: \d+ simulated, (\d+) from cache", rerun.stdout, re.M
+    )
+    assert from_cache and int(from_cache.group(1)) >= 1, rerun.stdout
 
     reference = _run_cli(
         [
@@ -293,13 +305,13 @@ def test_sigkill_supervisor_then_resume_is_bit_identical(tmp_path):
         timeout=300,
     )
     assert reference.returncode == 0, reference.stdout
-    assert _table_lines(resumed.stdout) == _table_lines(reference.stdout)
+    assert _table_lines(rerun.stdout) == _table_lines(reference.stdout)
 
 
 def test_pool_abort_then_resume_recovers_without_resimulation(tmp_path):
     """The deterministic stand-in for the SIGKILL test: abort the pooled
-    sweep after 2 completions, resume, and require the journaled cells
-    to come back from the checkpoint -- not a re-simulation."""
+    sweep after 2 completions, run it again, and require the completed
+    cells to come back from the cache -- not a re-simulation."""
     from repro.exec import SweepAborted
 
     cells = _cells(length=400, workloads=("xsbench", "mcf", "lsh", "canneal"))
@@ -312,12 +324,10 @@ def test_pool_abort_then_resume_recovers_without_resimulation(tmp_path):
     with pytest.raises(SweepAborted):
         aborted.run_cells(cells)
 
-    resumed = ExperimentExecutor(
-        workers=2, cache=ResultCache(cache_root), resume=True
-    )
-    results = [_comparable(r) for r in resumed.run_cells(cells)]
-    assert resumed.counters["resumed"] >= 2
-    assert resumed.counters["simulated"] + resumed.counters["resumed"] == len(cells)
+    rerun = ExperimentExecutor(workers=2, cache=ResultCache(cache_root))
+    results = [_comparable(r) for r in rerun.run_cells(cells)]
+    assert rerun.counters["cache_hits"] == 2
+    assert rerun.counters["simulated"] == len(cells) - 2
 
     serial = ExperimentExecutor(workers=1)
     assert results == [_comparable(r) for r in serial.run_cells(cells)]

@@ -1,16 +1,16 @@
-"""Fault-tolerance tests: retries, timeouts, crashes, quarantine, resume.
+"""Fault-tolerance tests: retries, timeouts, crashes, quarantine, re-runs.
 
 The contract under test extends test_exec's: not only must every
 execution path produce bit-identical results, every *failure* path must
 too.  A worker killed mid-cell, a cell that times out and retries, a
-corrupted cache entry, or a sweep aborted at a checkpoint and resumed --
+corrupted cache entry, or a sweep aborted mid-run and run again --
 none of it may change a single bit of the final stats (wall-clock
 ``manifest.timing.*`` excluded, as everywhere).
 
 Faults are injected deterministically through
 :class:`repro.exec.FaultPlan` / :class:`repro.exec.FaultSpec`
 (``docs/resilience.md``), so these tests exercise the real process
-isolation, kill, and resume machinery without any flakiness.
+isolation, kill, and re-run machinery without any flakiness.
 """
 
 import json
@@ -21,7 +21,6 @@ import pytest
 from repro.common.config import default_system_config
 from repro.exec import (
     CellExecutionError,
-    CheckpointStore,
     ExperimentExecutor,
     FaultPlan,
     FaultSpec,
@@ -106,22 +105,40 @@ def test_worker_crash_mid_batch_requeues_on_fresh_worker(tmp_path, clean_results
         _assert_identical(expected, actual)
 
 
-def test_cell_timeout_kills_then_succeeds_on_retry(tmp_path, clean_results):
-    """A delayed cell exceeds its timeout, is killed, and succeeds on the
-    retry (injected faults fire on attempt 0 only)."""
+def _hang_killed_then_retried(tmp_path, clean_results, cell_timeout):
+    """A cell delayed 30 s on its first attempt must be killed at its
+    deadline and succeed on the retry (injected faults fire on attempt 0
+    only), bit-identically."""
     cells = _cells(2)
     plan = FaultPlan(delay={cells[1].key(): ((0, 30.0),)})
     executor = ExperimentExecutor(
         workers=2,
         cache=ResultCache(str(tmp_path)),
         faults=plan,
-        resilience=ResiliencePolicy(max_retries=2, cell_timeout=5.0),
+        resilience=ResiliencePolicy(max_retries=2, cell_timeout=cell_timeout),
     )
     results = executor.run_cells(cells)
     assert executor.counters["timeouts"] == 1
     assert executor.counters["retries"] == 1
     for expected, actual in zip(clean_results[:2], results):
         _assert_identical(expected, actual)
+
+
+def test_cell_timeout_kills_then_succeeds_on_retry(tmp_path, clean_results):
+    _hang_killed_then_retried(tmp_path, clean_results, cell_timeout=5.0)
+
+
+def test_derived_deadline_kills_then_succeeds_on_retry(
+    tmp_path, clean_results, monkeypatch
+):
+    """No ``cell_timeout``: the pool's deadline derived from the cell's
+    records is what catches the hang (shrunk here to keep the test
+    fast)."""
+    import repro.exec.pool as pool
+
+    monkeypatch.setattr(pool, "DEADLINE_FLOOR_SECONDS", 5.0)
+    monkeypatch.setattr(pool, "DEADLINE_SECONDS_PER_RECORD", 0.0)
+    _hang_killed_then_retried(tmp_path, clean_results, cell_timeout=None)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +269,7 @@ def test_fault_plan_corruption_feeds_quarantine(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Checkpoint/resume: killed mid-run, zero re-simulation
+# Killed mid-run, then run again: zero re-simulation
 # ----------------------------------------------------------------------
 
 
@@ -260,73 +277,27 @@ def test_fault_plan_corruption_feeds_quarantine(tmp_path):
 def test_kill_at_checkpoint_then_resume_is_bit_identical(
     tmp_path, clean_results, workers
 ):
-    """The acceptance scenario: a sweep aborted mid-run and resumed must
-    produce bit-identical results with zero re-simulated cells -- on the
-    in-process path (one worker) and on the pool alike."""
+    """The acceptance scenario: a sweep aborted mid-run and run again
+    must produce bit-identical results with zero re-simulated cells --
+    on the in-process path (one worker) and on the pool alike.  The
+    result cache is the record of what completed."""
     cache_root = str(tmp_path)
     cells = _cells()
-    keys = [cell.key() for cell in cells]
 
     aborted = ExperimentExecutor(
         workers=workers, cache=ResultCache(cache_root), faults=FaultPlan(abort_after=2)
     )
     with pytest.raises(SweepAborted):
         aborted.run_cells(cells)
-    # The journal shows exactly the completed prefix.
-    journal = CheckpointStore.for_batch(cache_root, keys)
-    assert len(journal.done_keys()) == 2
 
-    resumed = ExperimentExecutor(
-        workers=workers, cache=ResultCache(cache_root), resume=True
-    )
-    results = resumed.run_cells(cells)
-    # Zero re-simulation of completed cells: 2 resumed from the journal,
+    rerun = ExperimentExecutor(workers=workers, cache=ResultCache(cache_root))
+    results = rerun.run_cells(cells)
+    # Zero re-simulation of completed cells: 2 served from the cache,
     # only the 2 interrupted ones simulated.
-    assert resumed.counters["resumed"] == 2
-    assert resumed.counters["cache_hits"] == 2
-    assert resumed.counters["simulated"] == 2
+    assert rerun.counters["cache_hits"] == 2
+    assert rerun.counters["simulated"] == 2
     for expected, actual in zip(clean_results, results):
         _assert_identical(expected, actual)
-    # And the journal now records the whole batch as done.
-    assert journal.done_keys() == set(keys)
-
-
-def test_non_resume_run_discards_stale_journal(tmp_path):
-    cache_root = str(tmp_path)
-    cells = _cells(2)
-    keys = [cell.key() for cell in cells]
-    journal = CheckpointStore.for_batch(cache_root, keys)
-    journal.record(keys[0], "done")
-    journal.close()
-
-    executor = ExperimentExecutor(cache=ResultCache(cache_root))
-    executor.run_cells(cells)
-    # Without --resume the journal was reset: nothing counts as resumed.
-    assert executor.counters["resumed"] == 0
-    assert executor.counters["simulated"] == 2
-
-
-def test_checkpoint_store_replay_semantics(tmp_path):
-    journal = CheckpointStore.for_batch(str(tmp_path), ["k1", "k2"])
-    journal.record("k1", "running", 0)
-    journal.record("k1", "done", 0)
-    journal.record("k2", "running", 0)
-    journal.record("k2", "failed", 2, "boom")
-    journal.close()
-    # Last state wins.
-    states = journal.states()
-    assert states["k1"]["state"] == "done"
-    assert states["k2"]["state"] == "failed"
-    assert states["k2"]["info"] == "boom"
-    assert journal.done_keys() == {"k1"}
-    # A torn final line (killed writer) is tolerated.
-    with open(journal.path, "a") as stream:
-        stream.write('{"key": "k2", "state": "do')
-    assert journal.done_keys() == {"k1"}
-    # The journal address depends only on the key set, not its order.
-    assert (
-        CheckpointStore.for_batch(str(tmp_path), ["k2", "k1"]).path == journal.path
-    )
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +330,7 @@ def test_fault_plan_inject_raises_on_schedule():
 def test_needs_isolation_routing():
     """The persistent pool amortizes spawn cost, so any multi-cell batch
     with workers > 1 pools; single cells and workers=1 stay inline, and
-    kill/stall faults or a cell timeout always force the pool."""
+    kill faults or a cell timeout always force the pool."""
     from repro.exec.resilience import needs_isolation
 
     config = default_system_config()
@@ -375,8 +346,6 @@ def test_needs_isolation_routing():
     assert not needs_isolation(1, policy, None, pending=several)
     timeout_policy = ResiliencePolicy(cell_timeout=5.0)
     assert needs_isolation(1, timeout_policy, None, pending=one)
-    # Kill and stall faults need a killable process regardless of size.
+    # Kill faults need a killable process regardless of size.
     kills = FaultPlan(kill={"0": (0,)})
-    stalls = FaultPlan(stall={"0": (0,)})
     assert needs_isolation(1, policy, kills, pending=one)
-    assert needs_isolation(1, policy, stalls, pending=one)
