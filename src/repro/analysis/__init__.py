@@ -1,12 +1,14 @@
 """Experiment drivers and reporting.
 
-``expectations`` encodes what the paper reports for every figure;
-``experiments`` contains one driver per evaluation figure (E1-E17 in
-DESIGN.md); ``tables`` renders driver output next to the paper's numbers
-for EXPERIMENTS.md and the benchmark logs.
+``expectations`` encodes what the paper reports for every figure and
+``check_claims`` judges a driver's result against it; ``experiments``
+contains one driver per evaluation figure (E1-E17 in DESIGN.md) and
+``ablations`` the design-choice studies; ``figures`` is the one table
+of both (driver, workload rule, trace length) that ``repro experiment``
+and ``repro report`` run, and renders a result as markdown.
 """
 
-from repro.analysis.expectations import PAPER_EXPECTATIONS
+from repro.analysis.expectations import PAPER_EXPECTATIONS, check_claims
 from repro.analysis.experiments import (
     fig01_runtime_breakdown,
     fig04_dram_reference_breakdown,
@@ -20,12 +22,15 @@ from repro.analysis.experiments import (
     fig16_bliss,
     fig17_subrows,
 )
-from repro.analysis.tables import format_table, render_experiment
 from repro.analysis import ablations
+from repro.analysis.figures import FIGURES, render_section
 from repro.analysis.report import generate_report, write_report
 
 __all__ = [
     "PAPER_EXPECTATIONS",
+    "check_claims",
+    "FIGURES",
+    "render_section",
     "fig01_runtime_breakdown",
     "fig04_dram_reference_breakdown",
     "fig10_performance_energy",
@@ -37,8 +42,6 @@ __all__ = [
     "fig15_wait_cycles",
     "fig16_bliss",
     "fig17_subrows",
-    "format_table",
-    "render_experiment",
     "ablations",
     "generate_report",
     "write_report",

@@ -4,7 +4,8 @@ The paper motivates several mechanisms (row-buffer prefetch, LLC
 prefetch, TxQ grouping, the non-speculative address construction); these
 drivers isolate each one's contribution on the default machine.  They go
 beyond the paper's own figures and back the DESIGN.md design-choice
-discussion; `benchmarks/test_ablation_*.py` regenerates them.
+discussion; ``repro experiment ablation_*`` regenerates each, and
+``tests/test_ablations.py`` checks their shapes.
 
 Like the figure drivers, every ablation decomposes into independent
 simulation cells and runs through an
@@ -34,7 +35,7 @@ def _improvement(baseline, variant):
     return performance_improvement(baseline.total_cycles, variant.total_cycles)
 
 
-def prefetch_destinations(workloads=DEFAULT_WORKLOADS, length=10000, seed=0,
+def prefetch_destinations(length, workloads=DEFAULT_WORKLOADS, seed=0,
                           executor=None):
     """TEMPO off vs row-buffer-only vs row buffer + LLC.
 
@@ -66,7 +67,7 @@ def prefetch_destinations(workloads=DEFAULT_WORKLOADS, length=10000, seed=0,
     return {"figure": "ablation_destinations", "rows": rows}
 
 
-def txq_grouping(workloads=DEFAULT_WORKLOADS, length=10000, seed=0, executor=None):
+def txq_grouping(length, workloads=DEFAULT_WORKLOADS, seed=0, executor=None):
     """TEMPO with and without the Sec. 4.3b transaction-queue scanning."""
     config = default_system_config()
     variants = (
@@ -92,7 +93,7 @@ def txq_grouping(workloads=DEFAULT_WORKLOADS, length=10000, seed=0, executor=Non
     return {"figure": "ablation_txq_grouping", "rows": rows}
 
 
-def prefetch_row_latency(workload="xsbench", length=10000, seed=0,
+def prefetch_row_latency(length, workload="xsbench", seed=0,
                          latencies=(40, 60, 100, 140, 200), executor=None):
     """Sensitivity to the array->row-buffer activation latency.
 
@@ -123,7 +124,7 @@ def prefetch_row_latency(workload="xsbench", length=10000, seed=0,
     return {"figure": "ablation_prefetch_latency", "workload": workload, "rows": rows}
 
 
-def scheduler_sensitivity(workloads=DEFAULT_WORKLOADS, length=10000, seed=0,
+def scheduler_sensitivity(length, workloads=DEFAULT_WORKLOADS, seed=0,
                           schedulers=("fcfs", "frfcfs", "bliss", "atlas"),
                           executor=None):
     """TEMPO's benefit under every implemented memory scheduler."""
@@ -151,23 +152,3 @@ def scheduler_sensitivity(workloads=DEFAULT_WORKLOADS, length=10000, seed=0,
             }
         )
     return {"figure": "ablation_schedulers", "rows": rows}
-
-
-# ----------------------------------------------------------------------
-# Driver registry
-# ----------------------------------------------------------------------
-
-#: Ablation id -> driver, keyed by the ``figure`` field each result
-#: reports.  ``repro experiment`` accepts these ids alongside the paper
-#: figures in ``EXPERIMENT_DRIVERS``.
-ABLATION_DRIVERS = {
-    "ablation_destinations": prefetch_destinations,
-    "ablation_txq_grouping": txq_grouping,
-    "ablation_prefetch_latency": prefetch_row_latency,
-    "ablation_schedulers": scheduler_sensitivity,
-}
-
-#: Ablations that study one workload at a time (their driver takes a
-#: singular ``workload=``); ``repro experiment --workloads`` must name
-#: at most one workload for these.
-SINGLE_WORKLOAD_ABLATIONS = ("ablation_prefetch_latency",)

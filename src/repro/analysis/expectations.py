@@ -2,8 +2,11 @@
 
 These constants are the "paper" column of EXPERIMENTS.md and the oracle
 the integration tests compare shapes against.  Values are ranges because
-the paper reports per-workload bars read off charts.
+the paper reports per-workload bars read off charts.  :func:`check_claims`
+judges a driver's result against them.
 """
+
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 PAPER_EXPECTATIONS = {
     "fig01": {
@@ -79,3 +82,212 @@ PAPER_EXPECTATIONS = {
         "best_dedicated": 2,
     },
 }
+
+
+# ----------------------------------------------------------------------
+# Checking a figure against its claims
+# ----------------------------------------------------------------------
+
+#: How far outside its band a measurement may lie and still read
+#: ``near``: the largest per-workload move over input seeds 0-4 (fig04's
+#: leaf share 0.011, fig10's performance gain 0.009, at 16,000 records).
+NEAR = 0.01
+
+_RANK = ("pass", "near", "miss")
+
+_Samples = List[Tuple[Any, float]]
+
+
+class Verdict(NamedTuple):
+    """How one claim compares with the paper: ``verdict`` is ``pass``
+    (inside the band), ``near`` (outside by at most :data:`NEAR`) or
+    ``miss``.
+
+    ``scope`` is what the band applies to: ``per workload`` (every row),
+    ``most workloads`` (more than half of the rows) or ``mean`` (the
+    mean over rows; for a best-setting claim, the paper's setting must
+    have the best mean).  ``band`` is ``(low, high)``, ``None`` for an
+    open edge, and the paper's setting twice for a best-setting claim.
+    ``measured`` is the rows' ``(min, max)``, the mean, or the best
+    measured setting; ``detail`` names the rows outside the band, or how
+    far the paper's setting trails the best one.
+    """
+
+    key: str
+    verdict: str
+    scope: str
+    band: Tuple[Any, Any]
+    measured: Any
+    detail: str
+
+
+def _band(key: str, paper: Any) -> Tuple[Any, Any]:
+    """A tuple is the band itself; ``True`` (the claim holds) is checked
+    as a measured margin >= 0; a number is a floor, or a ceiling for a
+    ``_max`` key."""
+    if isinstance(paper, tuple):
+        return paper
+    if paper is True:
+        return (0.0, None)
+    return (None, paper) if key.endswith("_max") else (paper, None)
+
+
+def _judge(value: float, band: Tuple[Any, Any]) -> str:
+    low, high = band
+    gap = round(max(0.0, low - value if low is not None else 0.0,
+                    value - high if high is not None else 0.0), 9)
+    return "pass" if gap <= 0 else "near" if gap <= NEAR else "miss"
+
+
+def _best(key: str, paper: Any, samples: _Samples) -> Verdict:
+    gains: Dict[Any, List[float]] = {}
+    for setting, gain in samples:
+        gains.setdefault(setting, []).append(gain)
+    means = {setting: sum(found) / len(found) for setting, found in gains.items()}
+    # A tie with the paper's setting counts as the paper's setting.
+    best = max(means, key=lambda setting: (means[setting], setting == paper))
+    gap = means[best] - means.get(paper, float("-inf"))
+    verdict = _judge(-gap, (0.0, None))
+    detail = "%g trails by %.4f" % (paper, gap) if verdict != "pass" else ""
+    return Verdict(key, verdict, "mean", (paper, paper), best, detail)
+
+
+def _judge_samples(key: str, scope: str, paper: Any, samples: _Samples) -> Verdict:
+    if scope == "best":
+        return _best(key, paper, samples)
+    band = _band(key, paper)
+    values = [value for _, value in samples]
+    if scope == "mean":
+        mean = sum(values) / len(values)
+        return Verdict(key, _judge(mean, band), scope, band, mean, "")
+    judged = [_judge(value, band) for value in values]
+    outside = ", ".join(
+        "%s %.3f" % sample for sample, verdict in zip(samples, judged) if verdict != "pass"
+    )
+    if scope == "per workload":
+        verdict = max(judged, key=_RANK.index)
+    else:  # most workloads
+        passing = judged.count("pass")
+        close = passing + judged.count("near")
+        verdict = "pass" if 2 * passing > len(judged) else (
+            "near" if 2 * close > len(judged) else "miss")
+    return Verdict(key, verdict, scope, band, (min(values), max(values)), outside)
+
+
+def _pairs(label: str, column: str, table: str = "rows",
+           **where: Any) -> Callable[[Dict[str, Any]], _Samples]:
+    """A measure: ``(row[label], row[column])`` of the result's *table*
+    rows whose fields match *where*."""
+    return lambda result: [
+        (row[label], row[column])
+        for row in result[table]
+        if all(row[field] == value for field, value in where.items())
+    ]
+
+
+def _imp_margins(result: Dict[str, Any]) -> _Samples:
+    return [(row["workload"], row["improvement_with_imp"] - row["improvement_no_imp"])
+            for row in result["rows"]]
+
+
+def _coverage_drops(result: Dict[str, Any]) -> _Samples:
+    """Per workload, the smallest fall in benefit from one variant to the
+    next (the rows run in rising-coverage order)."""
+    sweeps: Dict[str, List[float]] = {}
+    for row in result["rows"]:
+        sweeps.setdefault(row["workload"], []).append(row["performance_improvement"])
+    return [(name, min(a - b for a, b in zip(gains, gains[1:])))
+            for name, gains in sweeps.items()]
+
+
+def _policy_gains(result: Dict[str, Any]) -> _Samples:
+    return [("%s/%s" % (row["workload"], row["policy"]), row["performance_improvement"])
+            for row in result["rows"]]
+
+
+def _wait_deltas(result: Dict[str, Any]) -> _Samples:
+    """Per workload, the gain at the paper's best wait over no wait."""
+    gain = {(row["workload"], row["wait_cycles"]): row["performance_improvement"]
+            for row in result["rows"]}
+    best = PAPER_EXPECTATIONS["fig15"]["best_wait"]
+    return [(name, gain[name, best] - gain[name, 0])
+            for name in dict.fromkeys(name for name, _ in gain)]
+
+
+def _bliss_gains(result: Dict[str, Any]) -> _Samples:
+    return [("%s/weight %g" % (row["mix"], row["prefetch_weight"]), row["ws_improvement"])
+            for row in result["weight_rows"]] + [
+        ("%s/grace %d" % (row["mix"], row["grace_period"]), row["ws_improvement"])
+        for row in result["grace_rows"]]
+
+
+#: figure -> claim key -> (scope, measure); scope ``best`` is a
+#: best-setting claim.  A measure is a column of the result's rows,
+#: labelled by workload, or a function of the result returning
+#: ``(label, value)`` samples (for ``best``, ``(setting, gain)``).
+_CLAIMS: Dict[str, Dict[str, Tuple[str, Any]]] = {
+    "fig01": {
+        "ptw_runtime_fraction": ("per workload", "dram_ptw_fraction"),
+        "replay_runtime_fraction": ("per workload", "dram_replay_fraction"),
+    },
+    "fig04": {
+        "ptw_reference_fraction": ("per workload", "ptw_fraction"),
+        "replay_reference_fraction": ("per workload", "replay_fraction"),
+        "leaf_fraction_of_ptw": ("per workload", "leaf_fraction_of_ptw"),
+        "replay_follows_ptw_rate": ("per workload", "replay_follows_ptw_rate"),
+    },
+    "fig10": {
+        "performance_improvement": ("per workload", "performance_improvement"),
+        "energy_improvement": ("per workload", "energy_improvement"),
+        "superpage_fraction_min": ("most workloads", "superpage_fraction"),
+    },
+    "fig11_left": {
+        "llc_fraction_min": ("per workload", "llc_fraction"),
+        "unaided_fraction_max": ("per workload", "unaided_fraction"),
+    },
+    "fig11_right": {
+        "performance_band": ("per workload", _pairs(
+            "workload", "performance_improvement", group="small")),
+        "energy_band": ("per workload", _pairs(
+            "workload", "energy_improvement", group="small")),
+    },
+    "fig12": {"improvement_with_imp_exceeds_without": ("mean", _imp_margins)},
+    "fig13": {
+        "benefit_decreases_with_coverage": ("per workload", _coverage_drops),
+        "benefit_4k_only_min": ("per workload", _pairs(
+            "workload", "performance_improvement", variant="4k-only")),
+    },
+    "fig14": {"all_policies_positive": ("per workload", _policy_gains)},
+    "fig15": {
+        "best_wait": ("best", _pairs("wait_cycles", "performance_improvement")),
+        "delta_band": ("per workload", _wait_deltas),
+    },
+    "fig16": {
+        "all_configs_improve_ws": ("per workload", _bliss_gains),
+        "best_prefetch_weight": ("best", _pairs(
+            "prefetch_weight", "ws_improvement", "weight_rows")),
+        "best_grace_period": ("best", _pairs(
+            "grace_period", "ws_improvement", "grace_rows")),
+    },
+    "fig17": {"best_dedicated": ("best", _pairs("dedicated_subrows", "ws_improvement"))},
+}
+
+
+def check_claims(figure_result: Dict[str, Any]) -> List[Verdict]:
+    """One :class:`Verdict` per claim of the driver result's figure, in
+    ``PAPER_EXPECTATIONS`` order; an ablation has none.
+
+    This is the only code that compares a measured value with a paper
+    value.
+    """
+    figure = figure_result["figure"]
+    claims = _CLAIMS.get(figure, {})
+    verdicts = []
+    for key, paper in PAPER_EXPECTATIONS.get(figure, {}).items():
+        if key == "claim":
+            continue
+        scope, measure = claims[key]
+        if isinstance(measure, str):
+            measure = _pairs("workload", measure)
+        verdicts.append(_judge_samples(key, scope, paper, measure(figure_result)))
+    return verdicts

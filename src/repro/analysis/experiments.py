@@ -2,8 +2,9 @@
 
 Every driver returns a dict with a ``rows`` list (one entry per bar /
 point / series element in the paper's figure) plus metadata.  Drivers
-take ``length`` (trace records per workload) so benchmarks can trade
-fidelity for speed; the EXPERIMENTS.md numbers use the defaults.
+take ``length`` (trace records per workload) and have no default for
+it: the one length each figure runs at lives in the figure table
+(:mod:`repro.analysis.figures`).
 
 Execution model: each driver decomposes into independent simulation
 cells (:class:`~repro.exec.SimCell`) and submits them in one batch to an
@@ -90,7 +91,7 @@ class _CellBatch:
 # E1 / Figure 1 -- runtime breakdown
 # ----------------------------------------------------------------------
 
-def fig01_runtime_breakdown(workloads=None, length=24000, seed=0, executor=None):
+def fig01_runtime_breakdown(length, workloads=None, seed=0, executor=None):
     """Fraction of runtime in DRAM-PTW / DRAM-Replay / DRAM-Other."""
     names = _bigdata_subset(workloads)
     config = default_system_config().with_tempo(False)
@@ -115,7 +116,7 @@ def fig01_runtime_breakdown(workloads=None, length=24000, seed=0, executor=None)
 # E4 / Figure 4 -- DRAM reference breakdown
 # ----------------------------------------------------------------------
 
-def fig04_dram_reference_breakdown(workloads=None, length=24000, seed=0, executor=None):
+def fig04_dram_reference_breakdown(length, workloads=None, seed=0, executor=None):
     """DRAM *reference* fractions plus the leaf-PT and follow rates."""
     names = _bigdata_subset(workloads)
     config = default_system_config().with_tempo(False)
@@ -142,7 +143,7 @@ def fig04_dram_reference_breakdown(workloads=None, length=24000, seed=0, executo
 # E10 / Figure 10 -- headline performance + energy + superpage coverage
 # ----------------------------------------------------------------------
 
-def fig10_performance_energy(workloads=None, length=24000, seed=0, executor=None):
+def fig10_performance_energy(length, workloads=None, seed=0, executor=None):
     names = _bigdata_subset(workloads)
     config = default_system_config()
     batch = _CellBatch(_get_executor(executor), length, seed)
@@ -173,7 +174,7 @@ def fig10_performance_energy(workloads=None, length=24000, seed=0, executor=None
 # E11 left / Figure 11 left -- replay service breakdown under TEMPO
 # ----------------------------------------------------------------------
 
-def fig11_replay_service(workloads=None, length=24000, seed=0, executor=None):
+def fig11_replay_service(length, workloads=None, seed=0, executor=None):
     names = _bigdata_subset(workloads)
     config = default_system_config().with_tempo(True)
     results = _get_executor(executor).run_cells(
@@ -197,7 +198,7 @@ def fig11_replay_service(workloads=None, length=24000, seed=0, executor=None):
 # E11 right / Figure 11 right -- small-footprint do-no-harm
 # ----------------------------------------------------------------------
 
-def fig11_small_footprint(length=16000, seed=0, executor=None):
+def fig11_small_footprint(length, seed=0, executor=None):
     config = default_system_config()
     batch = _CellBatch(_get_executor(executor), length, seed)
     plan = []
@@ -234,7 +235,7 @@ def fig11_small_footprint(length=16000, seed=0, executor=None):
 # E12 / Figure 12 -- interaction with IMP prefetching
 # ----------------------------------------------------------------------
 
-def fig12_imp_interaction(workloads=None, length=24000, seed=0, executor=None):
+def fig12_imp_interaction(length, workloads=None, seed=0, executor=None):
     names = _bigdata_subset(workloads)
     config = default_system_config()
     imp_config = config.copy_with(imp=replace(config.imp, enabled=True))
@@ -292,7 +293,7 @@ def _vm_variants():
     )
 
 
-def fig13_superpage_sensitivity(workloads=None, length=16000, seed=0, executor=None):
+def fig13_superpage_sensitivity(length, workloads=None, seed=0, executor=None):
     names = _bigdata_subset(workloads)
     batch = _CellBatch(_get_executor(executor), length, seed)
     plan = []
@@ -328,7 +329,7 @@ def fig13_superpage_sensitivity(workloads=None, length=16000, seed=0, executor=N
 # E14 / Figure 14 -- row-buffer management policies
 # ----------------------------------------------------------------------
 
-def fig14_row_policies(workloads=None, length=24000, seed=0, executor=None):
+def fig14_row_policies(length, workloads=None, seed=0, executor=None):
     names = _bigdata_subset(workloads)
     batch = _CellBatch(_get_executor(executor), length, seed)
     plan = []
@@ -364,7 +365,7 @@ def fig14_row_policies(workloads=None, length=24000, seed=0, executor=None):
 # E15 / Figure 15 -- anticipation wait-cycle sweep
 # ----------------------------------------------------------------------
 
-def fig15_wait_cycles(workloads=None, length=24000, seed=0, waits=(0, 5, 10, 15),
+def fig15_wait_cycles(length, workloads=None, seed=0, waits=(0, 5, 10, 15),
                       executor=None):
     """Besides end-to-end improvement, report the *mechanism* metric the
     wait window targets: the row-buffer hit rate of DRAM page-table
@@ -429,7 +430,7 @@ def _mix_result(results, shared_index, alone_indices):
     )
 
 
-def fig16_bliss(mixes=None, length=6000, seed=0,
+def fig16_bliss(length, mixes=None, seed=0,
                 prefetch_weights=(0, 1, 2), grace_periods=(0, 15, 30),
                 executor=None):
     """Weighted speedup + max slowdown vs prefetch weight and grace
@@ -510,7 +511,7 @@ def _subrow_config(allocation, dedicated, tempo):
     return config.with_tempo(tempo)
 
 
-def fig17_subrows(mixes=None, length=6000, seed=0, dedicated_options=(0, 1, 2, 4),
+def fig17_subrows(length, mixes=None, seed=0, dedicated_options=(0, 1, 2, 4),
                   executor=None):
     """FOA/POA sub-row allocation with swept prefetch-dedicated slots."""
     mixes = SUBROW_MIXES if mixes is None else tuple(mixes)
@@ -546,30 +547,3 @@ def fig17_subrows(mixes=None, length=6000, seed=0, dedicated_options=(0, 1, 2, 4
                 }
             )
     return {"figure": "fig17", "rows": rows}
-
-
-# ----------------------------------------------------------------------
-# Driver registry
-# ----------------------------------------------------------------------
-
-#: Figure id -> driver, for the ``repro experiment`` CLI, which names
-#: figures by id.  ``repro.analysis.report`` keeps its own
-#: (driver, kwargs) tuples because it also fixes report-quality lengths.
-EXPERIMENT_DRIVERS = {
-    "fig01": fig01_runtime_breakdown,
-    "fig04": fig04_dram_reference_breakdown,
-    "fig10": fig10_performance_energy,
-    "fig11_left": fig11_replay_service,
-    "fig11_right": fig11_small_footprint,
-    "fig12": fig12_imp_interaction,
-    "fig13": fig13_superpage_sensitivity,
-    "fig14": fig14_row_policies,
-    "fig15": fig15_wait_cycles,
-    "fig16": fig16_bliss,
-    "fig17": fig17_subrows,
-}
-
-#: Figures whose workload set is part of the experiment's definition
-#: (small-footprint set, multiprogrammed mixes): a ``--workloads``
-#: override is meaningless for these.
-FIXED_WORKLOAD_FIGURES = ("fig11_right", "fig16", "fig17")

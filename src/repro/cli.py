@@ -27,16 +27,18 @@ Commands:
     same interval series; ``--interval`` sets the bucket width in
     cycles and ``--sample-interval`` the metric-snapshot cadence.
 ``experiment FIGURE``
-    Run one of the paper-figure experiment drivers (fig01, fig04,
-    fig10, fig11_left, fig11_right, fig12, fig13, fig14, fig15, fig16,
-    fig17) or ablation drivers (ablation_destinations,
-    ablation_txq_grouping, ablation_prefetch_latency, which takes at most
-    one ``--workloads`` name, and ablation_schedulers) and print its
-    table.  Bad input (an unknown workload, a non-positive ``--length``
-    or ``--workers``, a bad ``--faults`` spec) is a usage error (exit 2)
-    before anything runs.  ``--workers N`` fans the driver's simulation
-    cells across N worker processes; results are served from (and
-    persisted to) a content-addressed cache unless ``--no-cache``.
+    Run one entry of the figure table (``repro.analysis.figures``): a
+    paper figure (fig01 ... fig17) or an ablation (ablation_*; the
+    single-workload ablation_prefetch_latency takes at most one
+    ``--workloads`` name) at the figure's own trace length unless
+    ``--length`` is given, and print the same markdown section
+    ``report`` writes for it, with the verdict of each paper claim.
+    Bad input (an unknown figure or workload, a non-positive
+    ``--length`` or ``--workers``, a bad ``--faults`` spec) is a usage
+    error (exit 2) before anything runs.  ``--workers N`` fans the
+    driver's simulation cells across N worker processes; results are
+    served from (and persisted to) a content-addressed cache unless
+    ``--no-cache``.
     Sweeps are fault-tolerant (``docs/resilience.md``): failing cells
     retry up to ``--max-retries`` times, a pooled cell past its deadline
     (``--cell-timeout``, or one derived from its records) is killed and
@@ -45,10 +47,11 @@ Commands:
     to explicitly-missing results (exit code 3) instead of aborting, and
     ``--faults`` injects deterministic faults for testing.
 ``report -o FILE``
-    Run every figure driver (and optionally the ablations) and write a
-    markdown report with an embedded provenance manifest.  One executor
-    is shared across all sections, so overlapping figures never
-    simulate the same cell twice; ``--workers`` / ``--no-cache`` /
+    Run every entry of the figure table (optionally without the
+    ablations) and write a markdown report with each claim's verdict
+    and an embedded provenance manifest.  One executor is shared
+    across all sections, so overlapping figures never simulate the
+    same cell twice; ``--workers`` / ``--no-cache`` /
     ``--cache-dir`` and the resilience flags (``--max-retries``,
     ``--cell-timeout``, ``--allow-partial``, ``--faults``) work as for
     ``experiment``.  With ``--allow-partial`` a degraded report carries
@@ -74,6 +77,7 @@ import os
 import sys
 from dataclasses import replace
 
+from repro.analysis.figures import FIGURES
 from repro.common.config import default_system_config
 from repro.verify.auditor import FULL_INTERVAL as _FULL_INTERVAL
 from repro.obs import EventTracer, write_stats_csv, write_stats_json
@@ -330,54 +334,29 @@ def _cmd_trace(args, out):
 
 
 def _cmd_experiment(args, out):
-    from repro.analysis.ablations import (
-        ABLATION_DRIVERS,
-        SINGLE_WORKLOAD_ABLATIONS,
-    )
-    from repro.analysis.experiments import (
-        EXPERIMENT_DRIVERS,
-        FIXED_WORKLOAD_FIGURES,
-    )
-    from repro.analysis.tables import render_experiment
-
-    driver = EXPERIMENT_DRIVERS.get(args.figure) or ABLATION_DRIVERS.get(args.figure)
-    if driver is None:
-        out.write(
-            "unknown figure %r; choose from: %s\n"
-            % (
-                args.figure,
-                ", ".join(sorted(EXPERIMENT_DRIVERS) + sorted(ABLATION_DRIVERS)),
-            )
-        )
-        return 2
-    kwargs = {"length": args.length}
-    if args.figure in FIXED_WORKLOAD_FIGURES:
-        if args.workloads:
-            out.write(
-                "warning: %s uses a fixed workload set; ignoring --workloads %s\n"
-                % (args.figure, " ".join(args.workloads))
-            )
-    elif args.figure in SINGLE_WORKLOAD_ABLATIONS and args.workloads:
-        if len(args.workloads) > 1:
-            out.write(
-                "error: %s studies one workload; pass exactly one --workloads name\n"
-                % args.figure
-            )
-            return 2
-        kwargs["workload"] = args.workloads[0]
-    elif args.workloads:
-        kwargs["workloads"] = tuple(args.workloads)
+    from repro.analysis.figures import render_section
     from repro.exec import CellExecutionError, SweepAborted
 
+    figure = FIGURES[args.figure]
+    if args.workloads and figure.workloads == "fixed":
+        out.write(
+            "warning: %s uses a fixed workload set; ignoring --workloads %s\n"
+            % (args.figure, " ".join(args.workloads))
+        )
+    elif args.workloads and figure.workloads == "one" and len(args.workloads) > 1:
+        out.write(
+            "error: %s studies one workload; pass exactly one --workloads name\n"
+            % args.figure
+        )
+        return 2
     executor = _build_executor(args)
     try:
-        result = driver(executor=executor, **kwargs)
+        result = figure.run(executor, args.length, args.workloads)
     except (CellExecutionError, SweepAborted) as exc:
         out.write(executor.summary() + "\n")
         out.write("error: %s\n" % exc)
         return 1
-    out.write(render_experiment(result))
-    out.write("\n")
+    out.write(render_section(result) + "\n")
     out.write(executor.summary() + "\n")
     return _executor_exit_code(executor, out)
 
@@ -670,8 +649,15 @@ def build_parser():
     experiment_parser = subparsers.add_parser(
         "experiment", help="run a paper-figure experiment driver"
     )
-    experiment_parser.add_argument("figure", help="figure or ablation id")
-    experiment_parser.add_argument("--length", type=_positive_int, default=8000)
+    experiment_parser.add_argument(
+        "figure", choices=FIGURES, metavar="FIGURE", help="figure or ablation id"
+    )
+    experiment_parser.add_argument(
+        "--length",
+        type=_positive_int,
+        default=None,
+        help="trace records (default: the figure's own length, as in the report)",
+    )
     experiment_parser.add_argument(
         "--workloads", nargs="*", default=None, choices=_WORKLOADS, metavar="WORKLOAD"
     )

@@ -326,8 +326,9 @@ class ExperimentExecutor:
             check_invariants=self.check_invariants,
         )
 
-        stats = execute_resilient(
+        execute_resilient(
             pending,
+            counters=self.counters,
             workers=self.workers,
             policy=self.resilience,
             plan=plan,
@@ -338,10 +339,6 @@ class ExperimentExecutor:
             on_failed=on_failed,
             on_worker=on_worker,
         )
-        pooled = stats.pop("pooled")
-        for name, count in stats.items():
-            self.counters[name] += count
-        self.counters["pooled_batches" if pooled else "inline_batches"] += 1
 
         if failures:
             self.failed_cells.extend(failures)

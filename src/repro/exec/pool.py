@@ -232,6 +232,7 @@ def _kill_worker(worker: _Worker) -> None:
 def execute_pooled(
     pending: Mapping[str, SimCell],
     *,
+    counters: Dict[str, int],
     workers: int,
     policy: ResiliencePolicy,
     plan: Optional[FaultPlan],
@@ -240,24 +241,19 @@ def execute_pooled(
     on_done: OnDone,
     on_failed: OnFailed,
     on_worker: Optional[OnWorker] = None,
-) -> Dict[str, int]:
+) -> None:
     """Drive every pending cell to ``done`` or ``failed`` on a pool of
     *workers* processes (clamped to the batch size).
 
     Hook contract matches :func:`repro.exec.resilience.execute_resilient`
     (the public entry point; it routes every batch that needs process
     isolation here).  Results flow through the hooks as each cell
-    completes, so an abort never loses finished work.  Returns
-    scheduler stats: ``retries`` / ``timeouts`` / ``crashes`` plus the
-    pool counters ``workers_spawned`` and ``workers_respawned``.
+    completes, so an abort never loses finished work.  ``retries`` /
+    ``timeouts`` / ``crashes`` and the pool counters ``workers_spawned``
+    and ``workers_respawned`` are added to *counters* as they happen.
+    A dead or killed worker is replaced only while a cell is left to
+    run.
     """
-    stats = {
-        "retries": 0,
-        "timeouts": 0,
-        "crashes": 0,
-        "workers_spawned": 0,
-        "workers_respawned": 0,
-    }
     mp_context = multiprocessing.get_context()
     total = len(pending)
     n_workers = max(1, min(workers, total))
@@ -284,9 +280,9 @@ def execute_pooled(
         process.daemon = True
         process.start()
         send_end.close()  # parent keeps only the read end
-        stats["workers_spawned"] += 1
+        counters["workers_spawned"] += 1
         if respawn:
-            stats["workers_respawned"] += 1
+            counters["workers_respawned"] += 1
         notify("respawned" if respawn else "spawned", worker_id)
         return _Worker(worker_id, process, receive_end)
 
@@ -302,7 +298,7 @@ def execute_pooled(
             )
             finished.add(key)
             return
-        stats["retries"] += 1
+        counters["retries"] += 1
         on_state(key, "pending", attempts[key], "retrying: %s" % error)
         enqueue(key)
 
@@ -367,20 +363,22 @@ def execute_pooled(
                     if now - worker.dead_since <= grace:
                         continue
                     if worker.claim is not None:
-                        stats["crashes"] += 1
+                        counters["crashes"] += 1
                         reclaim(worker, "%s (exit %s)" % (WORKER_CRASHED, code))
                     notify("crashed", worker.worker_id, "exit %s" % code)
                     _kill_worker(worker)
-                    pool[index] = spawn(worker.worker_id, True)
+                    if len(finished) < total:
+                        pool[index] = spawn(worker.worker_id, True)
                     progressed = True
                     continue
                 claim = worker.claim
                 if claim is not None and now - claim[2] > deadlines[claim[0]]:
-                    stats["timeouts"] += 1
+                    counters["timeouts"] += 1
                     notify("timed_out", worker.worker_id, claim[0][:12])
                     _kill_worker(worker)
                     reclaim(worker, "timed out after %.1fs" % deadlines[claim[0]])
-                    pool[index] = spawn(worker.worker_id, True)
+                    if len(finished) < total:
+                        pool[index] = spawn(worker.worker_id, True)
                     progressed = True
             if progressed:
                 idle_since = None
@@ -415,4 +413,3 @@ def execute_pooled(
             _kill_worker(worker)
         tasks.close()
         tasks.cancel_join_thread()
-    return stats

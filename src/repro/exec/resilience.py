@@ -205,6 +205,7 @@ def needs_isolation(
 def execute_resilient(
     pending: Mapping[str, SimCell],
     *,
+    counters: Dict[str, int],
     workers: int,
     policy: ResiliencePolicy,
     plan: Optional[FaultPlan],
@@ -214,7 +215,7 @@ def execute_resilient(
     on_done: OnDone,
     on_failed: OnFailed,
     on_worker: Optional["OnWorker"] = None,
-) -> Dict[str, int]:
+) -> None:
     """Drive every pending cell to ``done`` or ``failed``.
 
     Results and cache writes happen through the hooks *as each cell
@@ -222,19 +223,20 @@ def execute_resilient(
     never loses finished work.  Batches that need a process boundary
     run on the supervised persistent pool
     (:func:`repro.exec.pool.execute_pooled`, sized by *workers*);
-    everything else runs inline in this process.
-    Returns scheduler stats: ``retries``, ``timeouts``, ``crashes``,
-    the pool's supervision counters, plus ``pooled`` (1 when the pool
-    was used, 0 for the inline path) so the executor can record the
-    chosen mode in its provenance.
+    everything else runs inline in this process.  The batch's mode
+    (``pooled_batches`` / ``inline_batches``), ``retries``,
+    ``timeouts``, ``crashes`` and the pool's worker counters are added
+    to *counters* as they happen, so an aborted batch keeps them too.
     """
     if needs_isolation(workers, policy, plan, pending):
         # Imported here: pool imports this module at import time, so the
         # reverse edge must stay lazy to avoid a cycle.
         from repro.exec.pool import WorkerContext, execute_pooled
 
-        stats = execute_pooled(
+        counters["pooled_batches"] += 1
+        execute_pooled(
             pending,
+            counters=counters,
             workers=workers,
             policy=policy,
             plan=plan,
@@ -244,10 +246,11 @@ def execute_resilient(
             on_failed=on_failed,
             on_worker=on_worker,
         )
-        stats["pooled"] = 1
-        return stats
-    stats = _execute_inline(
+        return
+    counters["inline_batches"] += 1
+    _execute_inline(
         pending,
+        counters=counters,
         policy=policy,
         plan=plan,
         run_inline=run_inline,
@@ -255,8 +258,6 @@ def execute_resilient(
         on_done=on_done,
         on_failed=on_failed,
     )
-    stats["pooled"] = 0
-    return stats
 
 
 def _check_abort(plan: Optional[FaultPlan], completed: int, total: int) -> None:
@@ -280,15 +281,15 @@ def _check_abort(plan: Optional[FaultPlan], completed: int, total: int) -> None:
 def _execute_inline(
     pending: Mapping[str, SimCell],
     *,
+    counters: Dict[str, int],
     policy: ResiliencePolicy,
     plan: Optional[FaultPlan],
     run_inline: RunInline,
     on_state: OnState,
     on_done: OnDone,
     on_failed: OnFailed,
-) -> Dict[str, int]:
+) -> None:
     """Serial in-process execution with retries (no kill switch)."""
-    stats = {"retries": 0, "timeouts": 0, "crashes": 0}
     completed = 0
     for key, cell in pending.items():
         attempt = 0
@@ -308,11 +309,10 @@ def _execute_inline(
                         CellFailure(key, "+".join(cell.workloads), attempt, error)
                     )
                     break
-                stats["retries"] += 1
+                counters["retries"] += 1
                 on_state(key, "pending", attempt, "retrying: %s" % error)
                 continue
             on_done(key, payload, attempt)
             completed += 1
             _check_abort(plan, completed, len(pending))
             break
-    return stats

@@ -71,29 +71,6 @@ def test_default_slack_window_exceeds_prefetch_path():
     assert prefetch_ready < slack
 
 
-def test_figure_driver_names_cover_cli():
-    from repro.analysis.report import FIGURE_DRIVERS
-    from repro.cli import build_parser
-
-    # The report runs 11 figures; the CLI experiment dispatcher exposes
-    # the same set by name.
-    import repro.cli as cli
-    import io
-
-    out = io.StringIO()
-
-    class _Args:
-        figure = "not-a-figure"
-        length = 100
-        workloads = None
-
-    assert cli._cmd_experiment(_Args(), out) == 2
-    listed = out.getvalue().split("choose from:")[1]
-    for name in ("fig01", "fig04", "fig10", "fig11_left", "fig11_right",
-                 "fig12", "fig13", "fig14", "fig15", "fig16", "fig17"):
-        assert name in listed
-
-
 def test_expectation_claims_are_substantive():
     """Every expectation entry carries a real claim sentence, and every
     entry beyond the claim is machine-checkable (numbers/bools)."""
@@ -128,16 +105,11 @@ def test_bigdata_flag_consistency():
 def test_cli_report_command_wiring(tmp_path, monkeypatch):
     """`repro report` writes a file using the report module."""
     import repro.cli as cli
-    from repro.analysis import experiments
     from repro.analysis import report as report_module
     import io
 
-    monkeypatch.setattr(
-        report_module,
-        "FIGURE_DRIVERS",
-        ((experiments.fig01_runtime_breakdown, {"workloads": ("mcf",), "length": 400}),),
-    )
-    monkeypatch.setattr(report_module, "ABLATION_DRIVERS", ())
+    fig01 = report_module.FIGURES["fig01"]._replace(length=300)
+    monkeypatch.setattr(report_module, "FIGURES", {"fig01": fig01})
     out = io.StringIO()
     path = str(tmp_path / "report.md")
     code = cli.main(["report", "-o", path], out=out)

@@ -1,115 +1,129 @@
 """End-to-end paper-shape integration tests.
 
-These run real workloads at moderate trace lengths and assert the
-*qualitative* results the paper reports.  They are the slowest tests in
-the suite (a few seconds each).
+These run real workloads at moderate trace lengths and judge each run
+with ``check_claims``, the verdicts ``repro report`` prints.  Every
+claim must pass except the ones ``KNOWN`` pins, so a verdict that moves
+either way fails here.  They are the slowest tests in the suite (a few
+seconds each); one executor shares the cells the tests have in common.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis import experiments
+from repro.analysis.expectations import check_claims
 from repro.common.config import default_system_config
-from repro.sim.runner import (
-    energy_fraction,
-    run_baseline_and_tempo,
-    run_workload,
-    speedup_fraction,
-)
+from repro.exec import ExperimentExecutor, SimCell
+from repro.sim.runner import energy_fraction, speedup_fraction
 
-LENGTH = 8000
+#: (figure, run) -> the claims that do not pass on that run.  xsbench at
+#: 8,000 records is too short for its upper-level page-table entries to
+#: warm up (ROADMAP item 6: the leaf share rises with trace length).
+KNOWN = {
+    ("fig04", "xsbench@8000"): {
+        "leaf_fraction_of_ptw": "miss",
+        "replay_reference_fraction": "near",
+    },
+}
+
+
+def _assert_verdicts(result, run):
+    verdicts = check_claims(result)
+    known = KNOWN.get((result["figure"], run), {})
+    assert {v.key: v.verdict for v in verdicts} == {
+        v.key: known.get(v.key, "pass") for v in verdicts
+    }, verdicts
 
 
 @pytest.fixture(scope="module")
-def xsbench_pair():
-    return run_baseline_and_tempo("xsbench", length=LENGTH, seed=0)
+def executor():
+    return ExperimentExecutor()
 
 
-def test_fig1_shape_ptw_and_replay_are_major(xsbench_pair):
-    baseline, _ = xsbench_pair
-    runtime = baseline.core.runtime
-    assert runtime.fraction("ptw") > 0.08
-    assert runtime.fraction("replay") > 0.08
+def _pair(executor, name, config, length):
+    """(baseline, TEMPO) results of one workload on *config*."""
+    return executor.run_cells(
+        SimCell(name, config.with_tempo(enabled), length, 0) for enabled in (False, True)
+    )
 
 
-def test_fig4_shape_reference_fractions(xsbench_pair):
-    baseline, _ = xsbench_pair
-    refs = baseline.core.dram_refs
-    assert 0.10 < refs.fraction("ptw") < 0.60
-    assert refs.fraction("replay") > 0.15
-    assert refs.leaf_fraction_of_ptw() > 0.60
-    assert refs.replay_follows_ptw_rate() > 0.90
+def test_fig1_shape_ptw_and_replay_are_major(executor):
+    result = experiments.fig01_runtime_breakdown(8000, ("xsbench",), executor=executor)
+    _assert_verdicts(result, "xsbench@8000")
 
 
-def test_fig10_shape_tempo_wins_perf_and_energy(xsbench_pair):
-    baseline, tempo = xsbench_pair
-    assert 0.05 < speedup_fraction(baseline, tempo) < 0.45
-    assert energy_fraction(baseline, tempo) > 0.0
-    assert baseline.superpage_fraction > 0.3
+def test_fig4_shape_reference_fractions(executor):
+    result = experiments.fig04_dram_reference_breakdown(
+        8000, ("xsbench",), executor=executor
+    )
+    _assert_verdicts(result, "xsbench@8000")
 
 
-def test_fig11_shape_replays_served_by_prefetch(xsbench_pair):
-    _, tempo = xsbench_pair
-    service = tempo.core.replay_service
-    assert service.total > 100
-    assert service.fraction("llc") + service.fraction("row_buffer") > 0.9
+def test_fig10_shape_tempo_wins_perf_and_energy(executor):
+    result = experiments.fig10_performance_energy(8000, ("xsbench",), executor=executor)
+    _assert_verdicts(result, "xsbench@8000")
 
 
-def test_small_footprint_not_harmed():
-    baseline, tempo = run_baseline_and_tempo("blackscholes_small", length=4000, seed=0)
-    speedup = speedup_fraction(baseline, tempo)
-    assert abs(speedup) < 0.03  # ~no change
-    assert abs(energy_fraction(baseline, tempo)) < 0.03
+def test_fig11_shape_replays_served_by_prefetch(executor):
+    result = experiments.fig11_replay_service(8000, ("xsbench",), executor=executor)
+    _assert_verdicts(result, "xsbench@8000")
 
 
-def test_tempo_helps_every_bigdata_workload():
-    for name in ("mcf", "graph500", "illustris"):
-        baseline, tempo = run_baseline_and_tempo(name, length=5000, seed=0)
-        assert speedup_fraction(baseline, tempo) > 0.03, name
+def test_small_footprint_not_harmed(executor):
+    baseline, tempo = _pair(
+        executor, "blackscholes_small", default_system_config(), 4000
+    )
+    row = {
+        "workload": "blackscholes_small",
+        "group": "small",
+        "performance_improvement": speedup_fraction(baseline, tempo),
+        "energy_improvement": energy_fraction(baseline, tempo),
+    }
+    _assert_verdicts({"figure": "fig11_right", "rows": [row]}, "blackscholes_small@4000")
 
 
-def test_superpage_coverage_reduces_walks():
-    from dataclasses import replace
+def test_tempo_helps_every_bigdata_workload(executor):
+    names = ("mcf", "graph500", "illustris")
+    result = experiments.fig10_performance_energy(5000, names, executor=executor)
+    _assert_verdicts(result, "mcf+graph500+illustris@5000")
 
-    config = default_system_config().with_tempo(False)
-    no_thp = config.copy_with(vm=replace(config.vm, thp_enabled=False))
-    hugetlb = config.copy_with(vm=replace(config.vm, hugetlbfs_2m=True))
+
+def _vm_configs():
+    config = default_system_config()
+    return (
+        ("4k-only", config.copy_with(vm=replace(config.vm, thp_enabled=False))),
+        ("hugetlbfs-2m", config.copy_with(vm=replace(config.vm, hugetlbfs_2m=True))),
+    )
+
+
+def test_superpage_coverage_reduces_walks(executor):
     walks = {}
-    for label, cfg in (("4k", no_thp), ("2m", hugetlb)):
-        result = run_workload("xsbench", cfg, length=5000, seed=0)
+    for label, config in _vm_configs():
+        [result] = executor.run_cells([SimCell("xsbench", config.with_tempo(False), 5000, 0)])
         walks[label] = result.core.dram_refs.walks_with_dram_leaf
-    assert walks["2m"] < walks["4k"]
+    assert walks["hugetlbfs-2m"] < walks["4k-only"]
 
 
-def test_tempo_benefit_shrinks_with_superpages():
-    from dataclasses import replace
-
-    config = default_system_config()
-    no_thp = config.copy_with(vm=replace(config.vm, thp_enabled=False))
-    hugetlb = config.copy_with(vm=replace(config.vm, hugetlbfs_2m=True))
-    base_4k, tempo_4k = run_baseline_and_tempo("xsbench", no_thp, length=5000, seed=0)
-    base_2m, tempo_2m = run_baseline_and_tempo("xsbench", hugetlb, length=5000, seed=0)
-    assert speedup_fraction(base_4k, tempo_4k) > speedup_fraction(base_2m, tempo_2m)
-    assert speedup_fraction(base_4k, tempo_4k) > 0.10
-
-
-def test_row_policies_all_benefit():
-    from dataclasses import replace
-
-    config = default_system_config()
-    for policy in ("adaptive", "open", "closed"):
-        cfg = config.copy_with(row_policy=replace(config.row_policy, policy=policy))
-        baseline, tempo = run_baseline_and_tempo("graph500", cfg, length=5000, seed=0)
-        assert speedup_fraction(baseline, tempo) > 0.02, policy
+def test_tempo_benefit_shrinks_with_superpages(executor):
+    rows = [
+        {
+            "workload": "xsbench",
+            "variant": label,
+            "performance_improvement": speedup_fraction(
+                *_pair(executor, "xsbench", config, 5000)
+            ),
+        }
+        for label, config in _vm_configs()
+    ]
+    _assert_verdicts({"figure": "fig13", "rows": rows}, "xsbench@5000")
 
 
-def test_imp_interaction_amplifies_tempo():
-    from dataclasses import replace
+def test_row_policies_all_benefit(executor):
+    result = experiments.fig14_row_policies(5000, ("graph500",), executor=executor)
+    _assert_verdicts(result, "graph500@5000")
 
-    config = default_system_config()
-    imp_config = config.copy_with(imp=replace(config.imp, enabled=True))
-    base, tempo = run_baseline_and_tempo("spmv", config, length=6000, seed=0)
-    base_imp, tempo_imp = run_baseline_and_tempo("spmv", imp_config, length=6000, seed=0)
-    without = speedup_fraction(base, tempo)
-    with_imp = speedup_fraction(base_imp, tempo_imp)
-    # Paper Fig. 12: TEMPO's relative benefit grows under IMP.
-    assert with_imp > without - 0.02
-    assert with_imp > 0.05
+
+def test_imp_interaction_amplifies_tempo(executor):
+    result = experiments.fig12_imp_interaction(6000, ("spmv",), executor=executor)
+    _assert_verdicts(result, "spmv@6000")

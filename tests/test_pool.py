@@ -196,6 +196,53 @@ def test_poison_cell_quarantined_with_evidence(tmp_path):
     assert "missing_cell" not in results[1].stats
 
 
+def test_last_cell_crash_spawns_no_replacement_worker(tmp_path):
+    """A worker that dies on the batch's last cell is not replaced: with
+    nothing left to run, a respawned worker would only be stopped."""
+    [cell] = _cells(length=400, workloads=("xsbench",))
+    telemetry_path = str(tmp_path / "pool.jsonl")
+    executor = ExperimentExecutor(
+        faults=FaultPlan(kill={cell.key(): (0,)}),
+        resilience=ResiliencePolicy(max_retries=0, allow_partial=True),
+        telemetry=TelemetryLog(telemetry_path),
+    )
+    executor.run_cells([cell])
+    executor.telemetry.close()
+
+    assert executor.counters["crashes"] == 1
+    assert executor.counters["failed"] == 1
+    assert executor.counters["workers_respawned"] == 0
+    events = [json.loads(line) for line in open(telemetry_path)]
+    actions = [e["action"] for e in events if e["event"] == "worker"]
+    assert actions == ["spawned", "crashed"]
+
+
+def test_aborted_pooled_batch_keeps_its_counters():
+    """A sweep aborted mid-batch still reports the crash, the workers it
+    spawned and its pooled batch."""
+    from repro.exec import SweepAborted
+
+    crashing, slow = _cells(length=400, workloads=("xsbench", "mcf"))
+    # The slow cell holds its worker, so the first completion -- and the
+    # abort -- is the crashed cell's retry.
+    plan = FaultPlan(
+        kill={crashing.key(): (0,)},
+        delay={slow.key(): ((0, 1.0),)},
+        abort_after=1,
+    )
+    executor = ExperimentExecutor(workers=2, faults=plan)
+    with pytest.raises(SweepAborted):
+        executor.run_cells([crashing, slow])
+
+    assert executor.counters["crashes"] == 1
+    assert executor.counters["workers_spawned"] == 3
+    assert executor.counters["pooled_batches"] == 1
+    summary = executor.summary()
+    assert "1 crashed" in summary
+    assert "3 spawned, 1 respawned" in summary
+    assert "1 pooled" in summary
+
+
 # ---------------------------------------------------------------------------
 # supervisor death: kill -9 the whole sweep, then run it again
 
