@@ -1,12 +1,11 @@
 """On-chip cache hierarchy: set-associative caches, a three-level
-hierarchy with a shared LLC, and cache prefetchers (IMP indirect-memory
-prefetcher from the paper's Sec. 4.2 study, plus a stride baseline).
+hierarchy with a shared LLC, and the IMP indirect-memory prefetcher from
+the paper's Sec. 4.2 study.
 """
 
 from repro.cache.cache import Cache, EvictedLine
 from repro.cache.hierarchy import AccessResult, CacheHierarchy
 from repro.cache.imp import ImpPrefetcher
-from repro.cache.stride import StridePrefetcher
 
 __all__ = [
     "Cache",
@@ -14,5 +13,4 @@ __all__ = [
     "AccessResult",
     "CacheHierarchy",
     "ImpPrefetcher",
-    "StridePrefetcher",
 ]

@@ -63,11 +63,11 @@ Commands:
     smoke use; exits 1 when any oracle fails.
 ``lint [PATHS...]``
     Run simlint, the AST-based invariant linter (default target:
-    ``src/repro``): no nondeterminism in the code a cell runs,
-    cache-key completeness, payload-schema coverage, stat registration,
-    error context, and the hygiene rules.  ``--format json`` for
-    machine-readable output, ``--disable SLnnn`` to switch rules off,
-    ``--list-rules`` for the catalogue; exits 1 when findings remain.
+    ``src/repro``): no nondeterminism in the code a cell runs, stat
+    registration, error context, and the hygiene rules.  ``--format
+    json`` for machine-readable output, ``--disable SLnnn`` to switch
+    rules off, ``--list-rules`` for the catalogue; exits 1 when findings
+    remain.
     Rules are documented in ``docs/static_analysis.md``.
 """
 

@@ -8,6 +8,12 @@ preserves them).
 
 All latencies are in CPU cycles.  All sizes are in bytes unless the field
 name says otherwise.
+
+Every config is frozen: ``config_hash`` (and so every result-cache key)
+is taken from a config's fields, so a variant is a new object built with
+``dataclasses.replace`` / :meth:`SystemConfig.copy_with` /
+:meth:`SystemConfig.with_tempo`, and a write through an existing one
+raises :class:`dataclasses.FrozenInstanceError`.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ def _power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreConfig:
     """Blocking in-order core timing model (DESIGN.md Sec. 5)."""
 
@@ -54,7 +60,7 @@ class CoreConfig:
         _require(self.tlb_fill_latency >= 0, "tlb_fill_latency must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TlbConfig:
     """Two-level TLB hierarchy with per-page-size L1 arrays."""
 
@@ -86,7 +92,7 @@ class TlbConfig:
         _require(self.l2_latency > 0, "L2 TLB latency must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MmuCacheConfig:
     """Page-walk caches holding L4/L3/L2 page-table entries.
 
@@ -104,7 +110,7 @@ class MmuCacheConfig:
         _require(self.latency >= 0, "MMU cache latency must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheConfig:
     """One set-associative cache level."""
 
@@ -127,7 +133,7 @@ class CacheConfig:
         return self.size_bytes // (self.assoc * self.line_bytes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RowPolicyConfig:
     """DRAM row-buffer management policy (paper Sec. 4.3)."""
 
@@ -150,7 +156,7 @@ class RowPolicyConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubRowConfig:
     """Sub-row buffers replacing the per-bank row buffer (paper Sec. 4.4)."""
 
@@ -170,7 +176,7 @@ class SubRowConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DramConfig:
     """DRAM organization and DDR3-style timing.
 
@@ -224,7 +230,7 @@ class DramConfig:
         self.subrows.validate()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerConfig:
     """Memory-scheduler selection and BLISS parameters."""
 
@@ -253,7 +259,7 @@ class SchedulerConfig:
         _require(self.bliss_prefetch_increment >= 0, "BLISS prefetch increment must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TempoConfig:
     """The paper's contribution: translation-triggered prefetching."""
 
@@ -266,9 +272,6 @@ class TempoConfig:
     prefetch_row_cycles: int = 60
     #: Extra cycles to ship the line from the row buffer into the LLC.
     prefetch_llc_extra_cycles: int = 25
-    #: Slack window: TLB fill + pipeline restart + replay L1/L2/LLC
-    #: lookups before the replay would re-reach DRAM (paper: 120+).
-    slack_window_cycles: int = 120
     #: Transaction-queue scanning (paper Sec. 4.3b): schedule queued
     #: page-table requests grouped by row, then their prefetches grouped
     #: by row.  Disable for the ablation study.
@@ -283,7 +286,6 @@ class TempoConfig:
     def validate(self) -> None:
         _require(self.prefetch_row_cycles > 0, "row prefetch latency must be positive")
         _require(self.prefetch_llc_extra_cycles >= 0, "LLC prefetch extra latency must be >= 0")
-        _require(self.slack_window_cycles >= 0, "slack window must be >= 0")
         _require(self.wait_cycles >= 0, "wait cycles must be >= 0")
         _require(self.grace_period_cycles >= 0, "grace period must be >= 0")
         if self.llc_prefetch and not self.row_prefetch:
@@ -296,26 +298,22 @@ class TempoConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImpConfig:
     """IMP indirect-memory prefetcher (Yu et al. [44]), default params."""
 
     enabled: bool = False
     prefetch_table_entries: int = 16
     indirect_pattern_detector_entries: int = 4
-    max_indirect_ways: int = 2
-    max_indirect_levels: int = 2
     max_prefetch_distance: int = 16
 
     def validate(self) -> None:
         _require(self.prefetch_table_entries > 0, "IMP table needs entries")
         _require(self.indirect_pattern_detector_entries > 0, "IPD needs entries")
-        _require(self.max_indirect_ways > 0, "IMP needs at least one indirect way")
-        _require(self.max_indirect_levels > 0, "IMP needs at least one indirect level")
         _require(self.max_prefetch_distance > 0, "IMP prefetch distance must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VmConfig:
     """OS virtual-memory model: allocation and superpage policy."""
 
@@ -345,7 +343,7 @@ class VmConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyConfig:
     """Analytical energy model (arbitrary units per event/cycle).
 
@@ -374,7 +372,7 @@ class EnergyConfig:
             _require(getattr(self, name) >= 0, "%s must be >= 0" % name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Top-level system description (the Figure-9 machine, scaled)."""
 

@@ -30,11 +30,19 @@ re-run sweep is bit-identical to an uninterrupted one (enforced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.common.errors import InvariantViolation, ReproError
-from repro.exec.cells import PAYLOAD_SCHEMA, SimCell
+from repro.exec.cells import SimCell
 from repro.exec.faults import FaultPlan
+from repro.exec.serialize import result_to_payload
+from repro.sim.metrics import (
+    CoreResult,
+    DramReferenceBreakdown,
+    ReplayServiceBreakdown,
+    RuntimeBreakdown,
+    SimulationResult,
+)
 
 if TYPE_CHECKING:  # import cycle: pool imports this module at runtime
     from repro.exec.pool import OnWorker, WorkerContext
@@ -112,55 +120,34 @@ class CellFailure:
 # Degraded results
 # ----------------------------------------------------------------------
 
-_ZERO_DRAM_REF_FIELDS = (
-    "ptw_leaf",
-    "ptw_upper",
-    "replay",
-    "other",
-    "prefetch",
-    "writeback",
-    "walks_with_dram_leaf",
-    "replay_also_dram",
-)
-
-_ZERO_SERVICE_FIELDS = ("llc", "row_buffer", "unaided")
-
 
 def missing_cell_payload(cell: SimCell) -> Payload:
     """A schema-correct, all-zero payload standing in for a cell that
     exhausted its retries under ``allow_partial``.
 
-    Every breakdown fraction of the rebuilt result reads 0.0 (the
-    metrics guards divide-by-zero to 0), ``stats["missing_cell"]`` is 1,
-    and the payload is never memoized or written to the cache -- a later
-    run retries the cell for real.
+    It is the payload of a :class:`SimulationResult` whose breakdowns
+    are freshly constructed (all zero), so every breakdown fraction of
+    the rebuilt result reads 0.0 (the metrics guards divide-by-zero to
+    0), ``stats["missing_cell"]`` is 1, and the payload is never
+    memoized or written to the cache -- a later run retries the cell
+    for real.
     """
-    cores: List[Dict[str, Any]] = [
-        {
-            "workload_name": name,
-            "references": 0,
-            "runtime": {
-                "total_cycles": 0,
-                "dram_ptw_cycles": 0,
-                "dram_replay_cycles": 0,
-                "dram_other_cycles": 0,
-            },
-            "dram_refs": {field: 0 for field in _ZERO_DRAM_REF_FIELDS},
-            "replay_service": {field: 0 for field in _ZERO_SERVICE_FIELDS},
-        }
+    cores = [
+        CoreResult(
+            name,
+            0,
+            RuntimeBreakdown(),
+            DramReferenceBreakdown(),
+            ReplayServiceBreakdown(),
+        )
         for name in cell.workloads
     ]
-    return {
-        "schema": PAYLOAD_SCHEMA,
-        "cores": cores,
-        "energy_total": 0.0,
-        "superpage_fraction": 0.0,
-        "stats": {
-            "missing_cell": 1,
-            "manifest.workloads": "+".join(cell.workloads),
-            "manifest.seed": cell.seed,
-        },
+    stats = {
+        "missing_cell": 1,
+        "manifest.workloads": "+".join(cell.workloads),
+        "manifest.seed": cell.seed,
     }
+    return result_to_payload(SimulationResult(cores, 0.0, 0.0, stats))
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,19 @@ coverage, and the full unified stats namespace -- so a reconstructed
 result is indistinguishable from a freshly simulated one (ints and
 floats round-trip JSON exactly).
 
-Only the :class:`~repro.obs.manifest.RunManifest` object itself is not
-rebuilt; its scalar projection already lives in ``stats`` under
-``manifest.*`` keys, which is what every downstream consumer reads.
+Both directions are read off the result classes' own ``__slots__``:
+every slot is one payload key, in slot order, so a field added to a
+result class is serialized and rebuilt with no edit here
+(``tests/test_exec.py::test_payload_round_trips_every_result_slot``
+pins it).  Only the ``manifest`` slot, the
+:class:`~repro.obs.manifest.RunManifest` object itself, is not rebuilt;
+its scalar projection already lives in ``stats`` under ``manifest.*``
+keys, which is what every downstream consumer reads.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.common.errors import SimulationError
 from repro.sim.metrics import (
@@ -26,51 +31,55 @@ from repro.sim.metrics import (
 )
 from repro.exec.cells import PAYLOAD_SCHEMA
 
-_DRAM_REF_FIELDS = (
-    "ptw_leaf",
-    "ptw_upper",
-    "replay",
-    "other",
-    "prefetch",
-    "writeback",
-    "walks_with_dram_leaf",
-    "replay_also_dram",
-)
+#: Slots holding a nested result object, or a list of them (``cores``).
+_NESTED: Dict[str, type] = {
+    "cores": CoreResult,
+    "runtime": RuntimeBreakdown,
+    "dram_refs": DramReferenceBreakdown,
+    "replay_service": ReplayServiceBreakdown,
+}
 
-_SERVICE_FIELDS = ("llc", "row_buffer", "unaided")
+_NOT_SERIALIZED = "manifest"
+
+
+def _slots(cls: type) -> Tuple[str, ...]:
+    slots: Tuple[str, ...] = vars(cls)["__slots__"]
+    return slots
+
+
+def _project(obj: object) -> Dict[str, Any]:
+    payload: Dict[str, Any] = {}
+    for name in _slots(type(obj)):
+        if name == _NOT_SERIALIZED:
+            continue
+        value = getattr(obj, name)
+        if isinstance(value, list):
+            value = [_project(item) for item in value]
+        elif name in _NESTED:
+            value = _project(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        payload[name] = value
+    return payload
+
+
+def _rebuild(cls: type, payload: Mapping[str, Any]) -> Any:
+    obj = object.__new__(cls)
+    for name in _slots(cls):
+        value = None if name == _NOT_SERIALIZED else payload[name]
+        if isinstance(value, list):
+            value = [_rebuild(_NESTED[name], item) for item in value]
+        elif name in _NESTED:
+            value = _rebuild(_NESTED[name], value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        setattr(obj, name, value)
+    return obj
 
 
 def result_to_payload(result: SimulationResult) -> Dict[str, Any]:
     """Project a :class:`SimulationResult` onto a JSON-able dict."""
-    cores: List[Dict[str, Any]] = []
-    for core in result.cores:
-        runtime = core.runtime
-        cores.append(
-            {
-                "workload_name": core.workload_name,
-                "references": core.references,
-                "runtime": {
-                    "total_cycles": runtime.total_cycles,
-                    "dram_ptw_cycles": runtime.dram_ptw_cycles,
-                    "dram_replay_cycles": runtime.dram_replay_cycles,
-                    "dram_other_cycles": runtime.dram_other_cycles,
-                },
-                "dram_refs": {
-                    name: getattr(core.dram_refs, name) for name in _DRAM_REF_FIELDS
-                },
-                "replay_service": {
-                    name: getattr(core.replay_service, name)
-                    for name in _SERVICE_FIELDS
-                },
-            }
-        )
-    return {
-        "schema": PAYLOAD_SCHEMA,
-        "cores": cores,
-        "energy_total": result.energy_total,
-        "superpage_fraction": result.superpage_fraction,
-        "stats": dict(result.stats),
-    }
+    return {"schema": PAYLOAD_SCHEMA, **_project(result)}
 
 
 def payload_to_result(payload: Dict[str, Any]) -> SimulationResult:
@@ -83,28 +92,5 @@ def payload_to_result(payload: Dict[str, Any]) -> SimulationResult:
                 "expected_schema": PAYLOAD_SCHEMA,
             },
         )
-    cores: List[CoreResult] = []
-    for entry in payload["cores"]:
-        runtime = RuntimeBreakdown(**entry["runtime"])
-        dram_refs = DramReferenceBreakdown()
-        for name in _DRAM_REF_FIELDS:
-            setattr(dram_refs, name, entry["dram_refs"][name])
-        service = ReplayServiceBreakdown()
-        for name in _SERVICE_FIELDS:
-            setattr(service, name, entry["replay_service"][name])
-        cores.append(
-            CoreResult(
-                entry["workload_name"],
-                entry["references"],
-                runtime,
-                dram_refs,
-                service,
-            )
-        )
-    return SimulationResult(
-        cores,
-        payload["energy_total"],
-        payload["superpage_fraction"],
-        stats=dict(payload["stats"]),
-        manifest=None,
-    )
+    result: SimulationResult = _rebuild(SimulationResult, payload)
+    return result

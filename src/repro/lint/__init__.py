@@ -1,14 +1,13 @@
 """simlint: AST-based invariant linting for the simulator.
 
-The executor stack made correctness depend on properties no runtime
-test can economically enforce -- determinism of the code a cell runs,
-completeness of the content-addressed cache key, coverage of the
-serialized payload schema.  This package checks them statically:
+The executor stack made correctness depend on properties of the code a
+cell runs: determinism, stat registration, integer cycle arithmetic,
+structured error context.  This package checks them statically:
 ``repro lint src/repro`` (or :func:`lint_paths` programmatically) runs
-10 simulator-specific rules (SL001-SL009 and SL014), one file at a
-time, each with a stable ID, a severity, and a fix-it message.
+7 simulator-specific rules (SL001, SL004, SL006-SL009 and SL014), one
+file at a time, each with a stable ID, a severity, and a fix-it message.
 ``docs/static_analysis.md`` documents every rule, and the runtime
-checks that replaced SL010-SL013.
+checks that replaced the retired IDs.
 """
 
 from __future__ import annotations

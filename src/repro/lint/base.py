@@ -6,8 +6,8 @@ objects.  Two rule shapes exist:
 * **module rules** implement :meth:`Rule.check_module` and see one file
   at a time (most hygiene rules);
 * **project rules** implement :meth:`Rule.check_project` and see every
-  parsed module at once (the cross-file invariants: cache-key
-  completeness, schema drift).
+  parsed module at once (SL014, which needs every ``ReproError``
+  subclass in the tree).
 
 Both shapes may be mixed in one rule class; the engine calls whichever
 methods a rule overrides.
@@ -139,31 +139,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
             return None
         return "%s.%s" % (base, node.attr)
     return None
-
-
-def attribute_chain(node: ast.AST) -> Optional[List[str]]:
-    """The name parts of an attribute target, e.g. ``self.config.x`` ->
-    ``["self", "config", "x"]``; ``None`` when the chain passes through
-    a call or subscript."""
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        parts.reverse()
-        return parts
-    return None
-
-
-def decorator_names(node: ast.ClassDef) -> List[str]:
-    """Flattened decorator names (``dataclass`` for both the bare and
-    the called ``@dataclass(...)`` forms)."""
-    names = []
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = dotted_name(target)
-        if name is not None:
-            names.append(name.rsplit(".", 1)[-1])
-    return names

@@ -1,10 +1,8 @@
-"""Hygiene rules: SL005 no-config-mutation, SL006 no-float-cycles,
-SL007 no-print, SL008 no-mutable-defaults.
+"""Hygiene rules: SL006 no-float-cycles, SL007 no-print, SL008
+no-mutable-defaults.
 
 These are the "makes the invariant rules moot" class of problems:
 
-* mutating a config after construction desynchronises behaviour from
-  the already-computed ``config_hash`` (SL005);
 * floats leaking into cycle accumulators turn exact integer timing into
   platform-dependent rounding (SL006);
 * ``print`` (or ``sys.stdout.write``) in library code corrupts
@@ -12,74 +10,25 @@ These are the "makes the invariant rules moot" class of problems:
   (SL007) -- interactive output belongs on stderr;
 * mutable default arguments alias state across calls -- across *cells*,
   in executor code (SL008).
+
+A write through a config object needs no rule: every config dataclass
+in :mod:`repro.common.config` is frozen, so it raises at runtime.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
-from repro.lint.base import Finding, Module, Rule, attribute_chain, dotted_name
+from repro.lint.base import Finding, Module, Rule, dotted_name
 from repro.lint.rules.determinism import TIMING_CRITICAL_PACKAGES
-
-#: Modules where config construction/normalisation legitimately assigns
-#: through config attribute chains.
-_CONFIG_MUTATION_ALLOWED = ("repro.common.config",)
 
 #: Attribute/variable names treated as exact-integer time accumulators.
 _CYCLE_NAME = re.compile(r"(^|_)(cycles?|ticks?|time)$")
 
 #: Modules allowed to print: the user-facing surfaces.
 _PRINT_ALLOWED = ("repro.cli", "repro.__main__")
-
-
-def _is_config_name(part: str) -> bool:
-    return part == "config" or part == "cfg" or part.endswith("_config")
-
-
-class NoConfigMutationRule(Rule):
-    rule_id = "SL005"
-    name = "no-config-mutation"
-    severity = "error"
-    rationale = (
-        "config objects are hashed into the result-cache key at cell "
-        "creation; mutating one afterwards runs a different machine than "
-        "the key claims"
-    )
-    fixit = (
-        "build a modified copy instead: dataclasses.replace / "
-        "SystemConfig.copy_with / with_tempo"
-    )
-
-    def check_module(self, module: Module) -> Iterator[Finding]:
-        if module.name in _CONFIG_MUTATION_ALLOWED:
-            return
-        for node in ast.walk(module.tree):
-            targets: List[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                if not isinstance(target, ast.Attribute):
-                    continue
-                chain = attribute_chain(target)
-                # Mutation = writing *through* a config object: some
-                # prefix element (not the final attribute) is a config.
-                # ``self.config = cfg`` stores a config and is fine;
-                # ``self.config.num_cores = 4`` rewrites a hashed one.
-                if chain is not None and any(
-                    _is_config_name(part) for part in chain[:-1]
-                ):
-                    yield self.finding(
-                        module,
-                        target,
-                        "assignment through a config object (%s): the config "
-                        "was hashed at construction, so this mutation "
-                        "invalidates every cache key derived from it"
-                        % ".".join(chain),
-                    )
 
 
 class NoFloatCyclesRule(Rule):

@@ -28,6 +28,21 @@ def config_hash(config: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: The stats keys :meth:`RunManifest.flat` gives the wall-clock timings.
+_TIMING_PREFIX = "manifest.timing."
+
+
+def without_timing(stats: Mapping[str, Any]) -> Dict[str, Any]:
+    """*stats* minus the ``manifest.timing.*`` keys: host wall-clock, the
+    one part of a result that differs between two runs of the same
+    cell.  What is left must be bit-identical."""
+    return {
+        key: value
+        for key, value in stats.items()
+        if not key.startswith(_TIMING_PREFIX)
+    }
+
+
 def executor_provenance(executor: Any) -> List[Tuple[str, str]]:
     """``(field, value)`` provenance rows for an
     :class:`~repro.exec.ExperimentExecutor`: where every result came
@@ -124,21 +139,21 @@ class RunManifest:
             info["audit"] = self.audit
         return info
 
-    def flat(self, prefix: str = "manifest") -> Dict[str, Any]:
+    def flat(self) -> Dict[str, Any]:
         """Scalar projection for the unified metrics namespace."""
         flat: Dict[str, Any] = {
-            "%s.config_sha256" % prefix: self.config_sha256,
-            "%s.seed" % prefix: self.seed,
-            "%s.num_cores" % prefix: self.num_cores,
-            "%s.package_version" % prefix: self.package_version,
-            "%s.python_version" % prefix: self.python_version,
-            "%s.workloads" % prefix: "+".join(t["name"] for t in self.traces),
-            "%s.trace_records" % prefix: sum(t["records"] for t in self.traces),
+            "manifest.config_sha256": self.config_sha256,
+            "manifest.seed": self.seed,
+            "manifest.num_cores": self.num_cores,
+            "manifest.package_version": self.package_version,
+            "manifest.python_version": self.python_version,
+            "manifest.workloads": "+".join(t["name"] for t in self.traces),
+            "manifest.trace_records": sum(t["records"] for t in self.traces),
         }
         if self.warmup_records is not None:
-            flat["%s.warmup_records" % prefix] = self.warmup_records
+            flat["manifest.warmup_records"] = self.warmup_records
         for name, value in self.timings.items():
-            flat["%s.timing.%s" % (prefix, name)] = value
+            flat[_TIMING_PREFIX + name] = value
         return flat
 
     def to_json(self, indent: int = 2) -> str:

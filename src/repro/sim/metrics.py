@@ -205,6 +205,8 @@ class SimulationResult:
     :class:`~repro.obs.manifest.RunManifest` provenance record.
     """
 
+    __slots__ = ("cores", "energy_total", "superpage_fraction", "stats", "manifest")
+
     def __init__(self, cores: List[CoreResult], energy_total: float, superpage_fraction: float, stats: Optional[Dict[str, Any]] = None, manifest: Optional[RunManifest] = None) -> None:
         self.cores = cores
         self.energy_total = energy_total

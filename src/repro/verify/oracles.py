@@ -33,6 +33,8 @@ import sys
 import tempfile
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs.manifest import without_timing
+
 #: Workload used by every oracle: pointer-chasing with a hot index, so
 #: short runs still exercise TLB misses, walks, and TEMPO prefetches.
 ORACLE_WORKLOAD = "btree"
@@ -41,15 +43,6 @@ ORACLE_WORKLOAD = "btree"
 def _load(name: str) -> Any:
     """Import a simulation module untyped (see module docstring)."""
     return importlib.import_module(name)
-
-
-def _comparable(stats: Dict[str, Any]) -> Dict[str, Any]:
-    """Strip wall-clock keys: everything else must be bit-identical."""
-    return {
-        key: value
-        for key, value in stats.items()
-        if not key.startswith("manifest.timing")
-    }
 
 
 def _diff_keys(left: Dict[str, Any], right: Dict[str, Any], limit: int = 5) -> str:
@@ -90,7 +83,7 @@ _CELL_CHILD = (
 def _payload_view(payload: Dict[str, Any]) -> Dict[str, Any]:
     """A JSON payload flattened to one level, wall-clock keys dropped."""
     view = {key: value for key, value in payload.items() if key != "stats"}
-    for key, value in _comparable(payload["stats"]).items():
+    for key, value in without_timing(payload["stats"]).items():
         view["stats." + key] = value
     return view
 

@@ -104,9 +104,8 @@ class PageTable:
         # the paper's "fraction of memory footprint devoted to
         # superpages" (Figure 10 right) under demand paging, where a
         # byte-weighted ratio would be distorted by partially-touched
-        # 4 KB chunks.  ``_chunks_4k`` counts the base pages mapped in
-        # each chunk, so a chunk leaves it with its last one.
-        self._chunks_4k = {}
+        # 4 KB chunks.
+        self._chunks_4k = set()
         self._super_chunks = 0
 
     @property
@@ -180,43 +179,10 @@ class PageTable:
         )
         self._mapped_bytes[page_size] += page_size
         if page_size == PAGE_SIZE_4K:
-            chunk = vaddr >> PAGE_SHIFT_2M
-            self._chunks_4k[chunk] = self._chunks_4k.get(chunk, 0) + 1
+            self._chunks_4k.add(vaddr >> PAGE_SHIFT_2M)
         else:
             self._super_chunks += page_size >> PAGE_SHIFT_2M
         self._mappings_by_size[page_size].value += 1
-
-    def unmap(self, vaddr, page_size=PAGE_SIZE_4K):
-        """Remove the leaf mapping covering *vaddr* at *page_size*.
-
-        Intermediate table pages are retained (as Linux does for hot
-        ranges); callers that need full teardown rebuild the table.
-        """
-        leaf_level = LEAF_LEVEL_FOR_SIZE[page_size]
-        node = self.root
-        for level, shift in RADIX_LEVELS:
-            index = (vaddr >> shift) & RADIX_INDEX_MASK
-            entry = node.entries.get(index)
-            if entry is None or not entry.present or entry.is_leaf != (level == leaf_level):
-                raise MappingError(
-                    "0x%x is not mapped at %d bytes" % (vaddr, page_size),
-                    context={"vaddr": vaddr, "page_size": page_size, "level": level},
-                )
-            if level == leaf_level:
-                break
-            node = entry.child
-        del node.entries[index]
-        self._mapped_bytes[page_size] -= page_size
-        if page_size == PAGE_SIZE_4K:
-            chunk = vaddr >> PAGE_SHIFT_2M
-            remaining = self._chunks_4k[chunk] - 1
-            if remaining:
-                self._chunks_4k[chunk] = remaining
-            else:
-                del self._chunks_4k[chunk]
-        else:
-            self._super_chunks -= page_size >> PAGE_SHIFT_2M
-        self.stats.counter("unmappings").add()
 
     # ------------------------------------------------------------------
     # Lookup (the hardware side)

@@ -7,6 +7,18 @@ from repro.common.rng import DeterministicRng
 from repro.vm.frame_allocator import FrameAllocator
 
 
+@pytest.fixture(autouse=True)
+def private_cache_dir(tmp_path_factory, monkeypatch):
+    """Point the default result cache at a fresh, empty directory.
+
+    A test that runs ``repro experiment`` or ``repro report`` without
+    ``--no-cache``/``--cache-dir`` would otherwise read and write the
+    user's cache (``~/.cache/repro-tempo``) and, on a second run, be
+    served from it.  Subprocesses inherit the variable.
+    """
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+
+
 @pytest.fixture
 def config():
     """The default (Figure-9) machine, validated."""

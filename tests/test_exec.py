@@ -8,6 +8,7 @@ excluded: those record host wall-clock, the one intentionally
 non-deterministic namespace.
 """
 
+import itertools
 import json
 import os
 
@@ -21,25 +22,25 @@ from repro.exec import (
     PAYLOAD_SCHEMA,
     ResultCache,
     SimCell,
+    default_cache_dir,
     payload_to_result,
     result_to_payload,
     simulate_cell,
 )
 from repro.obs import EventTracer
+from repro.obs.manifest import without_timing
+from repro.sim.metrics import (
+    CoreResult,
+    DramReferenceBreakdown,
+    ReplayServiceBreakdown,
+    RuntimeBreakdown,
+    SimulationResult,
+)
 from repro.sim.system import SystemSimulator
 from repro.workloads.registry import make_trace
 
 LENGTH = 900
 WORKLOADS = ("xsbench", "mcf")
-
-
-def _comparable_stats(result):
-    """All stats except the wall-clock ``manifest.timing.*`` keys."""
-    return {
-        key: value
-        for key, value in result.stats.items()
-        if not key.startswith("manifest.timing")
-    }
 
 
 def _slot_dict(obj):
@@ -58,7 +59,7 @@ def _assert_identical(expected, actual):
         assert _slot_dict(theirs.runtime) == _slot_dict(mine.runtime)
         assert _slot_dict(theirs.dram_refs) == _slot_dict(mine.dram_refs)
         assert _slot_dict(theirs.replay_service) == _slot_dict(mine.replay_service)
-    assert _comparable_stats(actual) == _comparable_stats(expected)
+    assert without_timing(actual.stats) == without_timing(expected.stats)
 
 
 def _pair_cells():
@@ -286,6 +287,14 @@ def test_trace_cache_round_trip(tmp_path):
     ] == [(b.vaddr, b.is_write, b.gap) for b in trace]
 
 
+def test_default_cache_dir_is_private_to_the_test(tmp_path_factory):
+    # tests/conftest.py keeps every test off the user's result cache.
+    cache_dir = default_cache_dir()
+    base = str(tmp_path_factory.getbasetemp())
+    assert os.path.commonpath([cache_dir, base]) == base
+    assert os.listdir(cache_dir) == []
+
+
 # ----------------------------------------------------------------------
 # Payload serialization
 # ----------------------------------------------------------------------
@@ -296,6 +305,59 @@ def test_serialize_round_trip():
     rebuilt = payload_to_result(payload)
     # Through JSON and back, the projection is unchanged.
     assert result_to_payload(rebuilt) == json.loads(json.dumps(payload))
+
+
+def _sentinel_result():
+    """A result whose every slot, at every depth, holds a distinct value."""
+    counter = itertools.count(1)
+    nested = {
+        "runtime": RuntimeBreakdown,
+        "dram_refs": DramReferenceBreakdown,
+        "replay_service": ReplayServiceBreakdown,
+    }
+
+    def filled(cls):
+        obj = object.__new__(cls)
+        for name in cls.__slots__:
+            if name in nested:
+                value = filled(nested[name])
+            elif name == "cores":
+                value = [filled(CoreResult), filled(CoreResult)]
+            elif name == "stats":
+                value = {"sentinel.%d" % next(counter): next(counter)}
+            elif name == "workload_name":
+                value = "workload%d" % next(counter)
+            elif name == "manifest":
+                value = "not serialized"
+            else:
+                value = next(counter)
+            setattr(obj, name, value)
+        return obj
+
+    return filled(SimulationResult)
+
+
+def _assert_same_slots(expected, actual, path):
+    assert type(actual) is type(expected), path
+    for name in type(expected).__slots__:
+        want, got = getattr(expected, name), getattr(actual, name)
+        where = "%s.%s" % (path, name)
+        if name == "manifest":
+            assert got is None, where  # travels in stats as manifest.*
+        elif isinstance(want, list):
+            assert len(got) == len(want), where
+            for index, (one, other) in enumerate(zip(want, got)):
+                _assert_same_slots(one, other, "%s[%d]" % (where, index))
+        elif hasattr(type(want), "__slots__"):
+            _assert_same_slots(want, got, where)
+        else:
+            assert type(got) is type(want) and got == want, where
+
+
+def test_payload_round_trips_every_result_slot():
+    original = _sentinel_result()
+    payload = json.loads(json.dumps(result_to_payload(original)))
+    _assert_same_slots(original, payload_to_result(payload), "result")
 
 
 def test_payload_schema_mismatch_raises():

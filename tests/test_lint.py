@@ -117,134 +117,6 @@ def test_sl001_only_applies_to_timing_critical_packages(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# SL002 cache-key-completeness
-
-GOOD_CONFIG = """
-from dataclasses import dataclass, field
-
-@dataclass
-class SubConfig:
-    depth: int = 2
-
-@dataclass
-class SystemConfig:
-    sub: SubConfig = field(default_factory=SubConfig)
-    cores: int = 1
-    label: str = "x"
-"""
-
-BAD_CONFIG = """
-from dataclasses import dataclass, field
-
-@dataclass
-class SubConfig:
-    depth: int = 2
-
-@dataclass
-class OrphanConfig:
-    tunable: int = 3
-
-@dataclass
-class SystemConfig:
-    sub: SubConfig = field(default_factory=SubConfig)
-    sizes: tuple = ()
-    KNOB = 7
-"""
-
-
-def test_sl002_fires_on_bare_attr_bad_type_and_orphan(tmp_path):
-    findings = lint_snippet(tmp_path, BAD_CONFIG, relpath="config.py", only="SL002")
-    messages = "\n".join(finding.message for finding in findings)
-    assert len(findings) == 3
-    assert "KNOB" in messages  # bare class attribute
-    assert "sizes" in messages  # non-scalar field type
-    assert "OrphanConfig" in messages  # unreachable dataclass
-
-
-def test_sl002_good_config_is_silent(tmp_path):
-    assert lint_snippet(tmp_path, GOOD_CONFIG, relpath="config.py", only="SL002") == []
-
-
-def test_sl002_fires_on_incomplete_cell_identity(tmp_path):
-    findings = lint_snippet(
-        tmp_path,
-        "class SimCell:\n"
-        "    def identity(self):\n"
-        "        return {'schema': 1}\n",
-        relpath="cells.py",
-        only="SL002",
-    )
-    messages = "\n".join(finding.message for finding in findings)
-    assert "config_hash" in messages
-    assert "'traces'" in messages and "'seed'" in messages
-
-
-def test_sl002_real_identity_shape_is_silent(tmp_path):
-    findings = lint_snippet(
-        tmp_path,
-        "from repro.obs.manifest import config_hash\n"
-        "class SimCell:\n"
-        "    def identity(self):\n"
-        "        return {\n"
-        "            'schema': 1,\n"
-        "            'package_version': '1',\n"
-        "            'config_sha256': config_hash(self.config),\n"
-        "            'traces': [],\n"
-        "            'seed': self.seed,\n"
-        "        }\n",
-        relpath="cells.py",
-        only="SL002",
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# SL003 schema-drift
-
-RESULT_MODULE = """
-class PieceBreakdown:
-    __slots__ = ("covered", "uncovered")
-
-class SimulationResult:
-    def __init__(self, covered, manifest=None):
-        self.covered = covered
-        self.manifest = manifest
-"""
-
-SERIALIZER_COVERING = """
-def result_to_payload(result):
-    return {"covered": result.covered, "uncovered": result.uncovered}
-
-def payload_to_result(payload):
-    return payload
-"""
-
-SERIALIZER_DRIFTED = """
-def result_to_payload(result):
-    return {"covered": result.covered}
-
-def payload_to_result(payload):
-    return payload
-"""
-
-
-def _lint_pair(tmp_path, serializer_source):
-    (tmp_path / "metrics.py").write_text(RESULT_MODULE)
-    (tmp_path / "serialize.py").write_text(serializer_source)
-    return lint_paths([str(tmp_path)], rules=[RULES_BY_ID["SL003"]])
-
-
-def test_sl003_fires_on_uncovered_field(tmp_path):
-    findings = _lint_pair(tmp_path, SERIALIZER_DRIFTED)
-    assert len(findings) == 1
-    assert "uncovered" in findings[0].message
-
-
-def test_sl003_covered_schema_and_manifest_exclusion_are_silent(tmp_path):
-    assert _lint_pair(tmp_path, SERIALIZER_COVERING) == []
-
-
-# ----------------------------------------------------------------------
 # SL004 stat-registration
 
 
@@ -270,37 +142,6 @@ def test_sl004_group_factories_are_silent(tmp_path):
         "misses.value += 1\n"
         "stats.histogram_handle('steps').record(2)\n",
         only="SL004",
-    )
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# SL005 no-config-mutation
-
-
-def test_sl005_fires_on_config_field_assignment(tmp_path):
-    findings = lint_snippet(
-        tmp_path,
-        "def tweak(config):\n"
-        "    config.num_cores = 4\n"
-        "class Sim:\n"
-        "    def adjust(self):\n"
-        "        self.config.tempo.enabled = False\n",
-        only="SL005",
-    )
-    assert len(findings) == 2
-
-
-def test_sl005_storing_and_copying_configs_is_silent(tmp_path):
-    findings = lint_snippet(
-        tmp_path,
-        "from dataclasses import replace\n"
-        "class Sim:\n"
-        "    def __init__(self, config):\n"
-        "        self.config = config\n"
-        "    def variant(self):\n"
-        "        return replace(self.config, num_cores=2)\n",
-        only="SL005",
     )
     assert findings == []
 

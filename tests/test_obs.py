@@ -16,7 +16,7 @@ from repro.obs import (
     write_stats_csv,
     write_stats_json,
 )
-from repro.obs.manifest import config_hash
+from repro.obs.manifest import config_hash, without_timing
 from repro.common.stats import StatGroup
 from repro.sim.multicore import MulticoreSimulator
 from repro.sim.runner import run_workload
@@ -190,19 +190,13 @@ def test_run_with_tracer_emits_lifecycle_spans():
     assert all(e[3] is None or e[3] >= e[2] for e in tracer.events)
 
 
-def _comparable(stats):
-    """Stats minus the host wall-clock keys, which differ between any
-    two runs."""
-    return {k: v for k, v in stats.items() if not k.startswith("manifest.timing.")}
-
-
 def test_tracer_does_not_change_timing():
     trace = make_trace("bzip2_small", length=500, seed=4)
     plain = run_workload(trace, length=500, seed=4)
     trace2 = make_trace("bzip2_small", length=500, seed=4)
     traced = run_workload(trace2, length=500, seed=4, probe=EventTracer())
     assert plain.total_cycles == traced.total_cycles
-    assert _comparable(plain.stats) == _comparable(traced.stats)
+    assert without_timing(plain.stats) == without_timing(traced.stats)
 
 
 def test_all_probes_at_once_do_not_change_results():
@@ -224,7 +218,7 @@ def test_all_probes_at_once_do_not_change_results():
     plain_result = plain.run()
     observed_result = observed.run()
     assert plain_result.total_cycles == observed_result.total_cycles
-    assert _comparable(plain_result.stats) == _comparable(observed_result.stats)
+    assert without_timing(plain_result.stats) == without_timing(observed_result.stats)
     assert observed_result.manifest.audit["violations"] == 0
 
 

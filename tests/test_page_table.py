@@ -94,25 +94,6 @@ def test_map_rejects_4k_under_2m_superpage(table):
         table.map(base + PAGE_SIZE_4K * 3, 0xABC000, PAGE_SIZE_4K)
 
 
-def test_unmap_then_translate_faults(table):
-    table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
-    table.unmap(VADDR, PAGE_SIZE_4K)
-    with pytest.raises(TranslationFault):
-        table.translate(VADDR)
-
-
-def test_unmap_unmapped_raises(table):
-    with pytest.raises(MappingError):
-        table.unmap(VADDR, PAGE_SIZE_4K)
-
-
-def test_unmap_then_remap_succeeds(table):
-    table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
-    table.unmap(VADDR, PAGE_SIZE_4K)
-    table.map(VADDR, 0xDEF000, PAGE_SIZE_4K)
-    assert table.translate(VADDR)[0] == 0xDEF000
-
-
 def test_table_pages_grow_with_spread_mappings(table):
     before = table.table_pages
     table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
@@ -157,35 +138,14 @@ def test_is_mapped(table):
     assert table.is_mapped(VADDR)
 
 
-def test_unmap_retires_chunks_from_superpage_fraction(table):
-    table.map(0x4000_0000, PAGE_SIZE_2M, PAGE_SIZE_2M)
-    table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
-    assert table.superpage_fraction() == pytest.approx(0.5)
-    table.unmap(VADDR, PAGE_SIZE_4K)
-    assert table.superpage_fraction() == pytest.approx(1.0)
-    table.unmap(0x4000_0000, PAGE_SIZE_2M)
-    assert table.mapped_bytes() == 0
-    assert table.superpage_fraction() == 0.0
-
-
-def test_4k_chunk_stays_counted_until_its_last_page_is_unmapped(table):
-    table.map(0x4000_0000, PAGE_SIZE_2M, PAGE_SIZE_2M)
-    table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
-    table.map(VADDR + PAGE_SIZE_4K, 0xDEF000, PAGE_SIZE_4K)
-    table.unmap(VADDR, PAGE_SIZE_4K)
-    assert table.superpage_fraction() == pytest.approx(0.5)
-    table.unmap(VADDR + PAGE_SIZE_4K, PAGE_SIZE_4K)
-    assert table.superpage_fraction() == pytest.approx(1.0)
-
-
-def test_unmap_1g_subtracts_all_its_chunks(table):
+def test_superpage_fraction_counts_every_chunk_of_a_1g_mapping(table):
+    # One 1 GB mapping covers 512 chunks of 2 MB; two 4 KB pages in one
+    # chunk add one more.
     table.map(PAGE_SIZE_1G * 3, PAGE_SIZE_1G * 5, PAGE_SIZE_1G)
     table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
+    table.map(VADDR + PAGE_SIZE_4K, 0xDEF000, PAGE_SIZE_4K)
     assert table.superpage_fraction() == pytest.approx(512 / 513)
-    table.unmap(PAGE_SIZE_1G * 3, PAGE_SIZE_1G)
-    assert table.superpage_fraction() == 0.0
-    table.unmap(VADDR, PAGE_SIZE_4K)
-    assert table.superpage_fraction() == 0.0
+    assert table.mapped_bytes() == PAGE_SIZE_1G + 2 * PAGE_SIZE_4K
 
 
 @pytest.mark.parametrize(

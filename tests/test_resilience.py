@@ -33,6 +33,7 @@ from repro.exec import (
     missing_cell_payload,
     payload_to_result,
 )
+from repro.obs.manifest import without_timing
 
 LENGTH = 600
 
@@ -40,14 +41,6 @@ LENGTH = 600
 def _cells(count=4):
     config = default_system_config()
     return [SimCell("xsbench", config, LENGTH, seed=seed) for seed in range(count)]
-
-
-def _comparable_stats(result):
-    return {
-        key: value
-        for key, value in result.stats.items()
-        if not key.startswith("manifest.timing")
-    }
 
 
 def _slot_dict(obj):
@@ -64,7 +57,7 @@ def _assert_identical(expected, actual):
         assert _slot_dict(theirs.runtime) == _slot_dict(mine.runtime)
         assert _slot_dict(theirs.dram_refs) == _slot_dict(mine.dram_refs)
         assert _slot_dict(theirs.replay_service) == _slot_dict(mine.replay_service)
-    assert _comparable_stats(actual) == _comparable_stats(expected)
+    assert without_timing(actual.stats) == without_timing(expected.stats)
 
 
 @pytest.fixture(scope="module")

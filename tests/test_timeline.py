@@ -19,6 +19,7 @@ import pytest
 
 from repro.common.config import default_system_config
 from repro.obs import CompositeProbe, EventTracer
+from repro.obs.manifest import without_timing
 from repro.obs.timeline import (
     BottleneckAttributor,
     IntervalSampler,
@@ -182,14 +183,6 @@ def test_payload_is_json_clean_and_self_consistent(captured):
 # Bit-identity: ledger off vs on
 
 
-def _comparable(stats):
-    """Stats minus the host wall-clock keys, which differ between any
-    two runs (same exclusion as the tracer bit-identity oracle)."""
-    return {
-        k: v for k, v in stats.items() if not k.startswith("manifest.timing.")
-    }
-
-
 def test_stats_bit_identical_with_timeline_off_vs_on():
     config = default_system_config()
     plain = run_workload(WORKLOAD, config, length=LENGTH, seed=3)
@@ -197,7 +190,7 @@ def test_stats_bit_identical_with_timeline_off_vs_on():
         WORKLOAD, config, length=LENGTH, seed=3, probe=TimelineRecorder()
     )
     assert plain.total_cycles == recorded.total_cycles
-    assert _comparable(plain.stats) == _comparable(recorded.stats)
+    assert without_timing(plain.stats) == without_timing(recorded.stats)
 
 
 def test_timeline_off_is_a_single_none_check():
@@ -251,7 +244,7 @@ def test_interval_samples_are_deterministic_across_runs():
     first = capture_timeline(WORKLOAD, length=800, interval=256)[1]
     second = capture_timeline(WORKLOAD, length=800, interval=256)[1]
     strip = lambda rows: [
-        (cycle, _comparable(snapshot)) for cycle, snapshot in rows
+        (cycle, without_timing(snapshot)) for cycle, snapshot in rows
     ]
     assert strip(first.sampler.samples) == strip(second.sampler.samples)
     assert timeline_payload(first)["units"] == timeline_payload(second)["units"]

@@ -17,6 +17,7 @@ from repro.exec import ExperimentExecutor, ResultCache, SimCell
 from repro.exec.cache import QuarantineReason
 from repro.exec.resilience import CellExecutionError, ResiliencePolicy
 from repro.obs import CompositeProbe
+from repro.obs.manifest import without_timing
 from repro.sim.runner import run_workload
 from repro.sim.system import SystemSimulator
 from repro.verify import (
@@ -228,21 +229,13 @@ def test_violation_during_run_dumps_crash_report(capsys):
 # ----------------------------------------------------------------------
 
 
-def _comparable(result):
-    return {
-        key: value
-        for key, value in result.stats.items()
-        if not key.startswith("manifest.timing")
-    }
-
-
 def test_full_audit_is_bit_identical_to_off():
     config = default_system_config().with_tempo(True)
     off = run_workload(WORKLOAD, config=config, length=LENGTH, seed=0)
     full = run_workload(
         WORKLOAD, config=config, length=LENGTH, seed=0, check_invariants="full"
     )
-    assert _comparable(off) == _comparable(full)
+    assert without_timing(off.stats) == without_timing(full.stats)
     assert off.manifest.audit is None
     audit = full.manifest.audit
     assert audit["mode"] == "full"
