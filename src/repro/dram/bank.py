@@ -105,6 +105,17 @@ class Bank:
             return OUTCOME_MISS
         return OUTCOME_HIT if effective == row else OUTCOME_CONFLICT
 
+    def buffer_key(self, row, row_offset):
+        """The row-buffer contents an access to *row* needs: the row.
+        :meth:`classify` reports a hit exactly when this key is among
+        :meth:`open_keys`."""
+        return row
+
+    def open_keys(self, now):
+        """The keys an access at *now* would hit: the open row, if any."""
+        row = self.effective_open_row(now)
+        return () if row is None else (row,)
+
     def access(
         self,
         row,

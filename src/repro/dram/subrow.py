@@ -136,6 +136,16 @@ class SubRowBank:
                 return OUTCOME_HIT
         return OUTCOME_MISS
 
+    def buffer_key(self, row, row_offset):
+        """The sub-row buffer contents an access needs: ``(row,
+        segment)``.  :meth:`classify` reports a hit exactly when this key
+        is among :meth:`open_keys`."""
+        return (row, self._segment(row_offset))
+
+    def open_keys(self, now):
+        """The ``(row, segment)`` held in each live sub-row buffer."""
+        return [slot.content for slot in self.slots if slot.content is not None]
+
     def access(
         self,
         row,

@@ -13,22 +13,33 @@ of bank-level parallelism.  Completion as seen by the core adds the
 fixed ``controller_overhead_cycles`` (queue entry/exit + on-chip
 network).
 
-Each channel's transaction queue is two lists: demands, page-table
-requests and prefetches in one, writebacks in the other.  The scheduler
-is offered the writebacks only when nothing in the first list is
-eligible, so writebacks go last and a pick costs time in proportion to
-the requests it may choose from.  ``enqueue`` decodes each request's
+Each channel's transaction queue has two parts: a list of demands,
+page-table requests and prefetches, and a store of writebacks.  The
+scheduler is offered the writebacks only when nothing in the list is
+eligible, so writebacks go last.  ``enqueue`` decodes each request's
 DRAM coordinates once and stores them on it; picks, reservations and
 the access itself read them from there.
 
+The store groups a channel's writebacks by (cpu, bank, ``not_before``),
+everything a policy reads of a request but its row-hit status and age.
+A group keeps its requests oldest first and indexes them by row-buffer
+key (``Bank.buffer_key``).  A pick that reaches the writebacks offers
+the scheduler, from each group, its oldest request and the oldest on
+each key open in its bank (``Bank.open_keys``).  Every policy prefers
+among such requests by row hit, then age (see :mod:`~repro.sched.
+schedulers`), so the request it would take from all the writebacks is
+among those offered: a pick costs time in proportion to the groups and
+open keys, not to the backlog.
+
 Most of the time a channel holds one request, and the controller skips
-the queue work for it.  A ``submit_and_wait`` request that finds both of
-its channel's lists empty is served on arrival: ``enqueue`` still sees
-it, and if the scheduler's ``pick_lone`` takes it at the channel clock it
-goes straight to service.  Otherwise it waits in the queue as usual.
-Whenever a list offered to the scheduler holds one request, the pick
-goes through ``pick_lone`` instead of the policy's scan.  Either way the
-choice, the timing and every counter are those of ``pick``.
+the queue work for it.  A ``submit_and_wait`` request that finds both
+parts of its channel's queue empty is served on arrival: ``enqueue``
+still sees it, and if the scheduler's ``pick_lone`` takes it at the
+channel clock it goes straight to service.  Otherwise it waits in the
+queue as usual.  Whenever a list offered to the scheduler holds one
+request, the pick goes through ``pick_lone`` instead of the policy's
+scan.  Either way the choice, the timing and every counter are those of
+``pick``.
 
 TEMPO hooks, all active only when a :class:`~repro.core.prefetch_engine.
 PrefetchEngine` is installed:
@@ -45,6 +56,7 @@ PrefetchEngine` is installed:
   (the paper's "pathological cases" in Figure 11 left).
 """
 
+import bisect
 import itertools
 
 from repro.common.stats import StatGroup
@@ -100,6 +112,19 @@ class _SchedulerContext:
         return self._banks[request.bank_index].reserved_against(request.cpu, self.now)
 
 
+class _WritebackGroup:
+    """One channel's queued writebacks of one (cpu, bank, ``not_before``).
+    Entries are ``(enqueue_time, req_id, request)``, so sorting them is
+    sorting by age: ``entries`` holds them all oldest first and
+    ``by_key`` the same entries per row-buffer key."""
+
+    __slots__ = ("entries", "by_key")
+
+    def __init__(self):
+        self.entries = []
+        self.by_key = {}
+
+
 class MemoryController:
     """See module docstring."""
 
@@ -122,10 +147,13 @@ class MemoryController:
         self._capacity = config.dram.txq_capacity
         self._banks = self.device.banks
         channels = config.dram.channels
-        #: Per channel, the two lists of the module docstring.
+        #: Per channel, the two parts of the module docstring: a list,
+        #: and a dict of :class:`_WritebackGroup` by (cpu, bank_index,
+        #: not_before) that holds no empty group.
         self._queues = [[] for _ in range(channels)]
-        self._writebacks = [[] for _ in range(channels)]
-        #: TxQ slots held by each channel's queued requests (both lists).
+        self._writebacks = [{} for _ in range(channels)]
+        self._writeback_counts = [0] * channels
+        #: TxQ slots held by each channel's queued requests (both parts).
         self._slots_used = [0] * channels
         self._clock = [0] * channels
         self._outcomes = {}
@@ -183,12 +211,38 @@ class MemoryController:
                 )
             return False
         if request.kind == KIND_WRITEBACK:
-            self._writebacks[channel].append(request)
+            self._add_writeback(request)
         else:
             self._queues[channel].append(request)
         self._slots_used[channel] += slots
         self._enqueued_counters[request.kind].value += 1
         return True
+
+    def _add_writeback(self, request):
+        groups = self._writebacks[request.channel]
+        group_key = (request.cpu, request.bank_index, request.not_before)
+        group = groups.get(group_key)
+        if group is None:
+            group = groups[group_key] = _WritebackGroup()
+        entry = (request.enqueue_time, request.req_id, request)
+        bisect.insort(group.entries, entry)
+        key = self._banks[request.bank_index].buffer_key(request.row, request.row_offset)
+        bisect.insort(group.by_key.setdefault(key, []), entry)
+        self._writeback_counts[request.channel] += 1
+
+    def _remove_writeback(self, request):
+        groups = self._writebacks[request.channel]
+        group_key = (request.cpu, request.bank_index, request.not_before)
+        group = groups[group_key]
+        entry = (request.enqueue_time, request.req_id, request)
+        key = self._banks[request.bank_index].buffer_key(request.row, request.row_offset)
+        for entries in (group.entries, group.by_key[key]):
+            del entries[bisect.bisect_left(entries, entry)]
+        if not group.by_key[key]:
+            del group.by_key[key]
+        if not group.entries:
+            del groups[group_key]
+        self._writeback_counts[request.channel] -= 1
 
     def submit_and_wait(self, request, now):
         """Blocking demand path: enqueue, then serve on arrival when the
@@ -206,14 +260,16 @@ class MemoryController:
             self._clock[channel] = now
         now = self._clock[channel]
         queue = self._queues[channel]
-        writebacks = self._writebacks[channel]
-        if len(queue) + len(writebacks) == 1:
+        if len(queue) + self._writeback_counts[channel] == 1:
             # Alone on an idle channel: serve it on arrival when the
             # scheduler takes it now (what _service_next would do).
             context = self._context
             context.now = now
             if self.scheduler.pick_lone(request, now, context) is not None:
-                (queue or writebacks).pop()
+                if queue:
+                    queue.pop()
+                else:
+                    self._remove_writeback(request)
                 self._slots_used[channel] -= request.slots()
                 self._service(channel, request)
                 return request.finish_time
@@ -265,7 +321,15 @@ class MemoryController:
         return bool(self._queues[channel] or self._writebacks[channel])
 
     def _channel_requests(self, channel):
-        return itertools.chain(self._queues[channel], self._writebacks[channel])
+        """The channel's list and the oldest writeback of each group:
+        enough for anything read off cpu, bank and ``not_before`` alone
+        (availability, the earliest ``not_before``)."""
+        groups = self._writebacks[channel]
+        if not groups:
+            return self._queues[channel]
+        return itertools.chain(
+            self._queues[channel], [group.entries[0][2] for group in groups.values()]
+        )
 
     def next_decision_time(self, channel):
         """Earliest time *channel* could service its next request, or
@@ -325,20 +389,41 @@ class MemoryController:
     def _pick(self, channel, now):
         """The scheduler's choice at *now*, or None when nothing is
         eligible.  Writebacks are offered only when no other request is,
-        so each ``pick`` sees one of the two lists; a list of one goes
-        to ``pick_lone``."""
+        so each ``pick`` sees the channel's list or writebacks alone; a
+        list of one goes to ``pick_lone``."""
         context = self._context
         context.now = now
         scheduler = self.scheduler
+        queue = self._queues[channel]
         request = None
-        for pending in (self._queues[channel], self._writebacks[channel]):
-            if len(pending) == 1:
-                request = scheduler.pick_lone(pending[0], now, context)
-            elif pending:
-                request = scheduler.pick(pending, now, context)
-            if request is not None:
-                return request
-        return None
+        if len(queue) == 1:
+            request = scheduler.pick_lone(queue[0], now, context)
+        elif queue:
+            request = scheduler.pick(queue, now, context)
+        groups = self._writebacks[channel]
+        if request is None and groups:
+            offer = self._writeback_offer(groups, now)
+            if len(offer) == 1:
+                request = scheduler.pick_lone(offer[0], now, context)
+            else:
+                request = scheduler.pick(offer, now, context)
+        return request
+
+    def _writeback_offer(self, groups, now):
+        """From each group, its oldest writeback and the oldest on each
+        row-buffer key open in its bank at *now*: the writebacks a
+        policy could take first (module docstring)."""
+        banks = self._banks
+        offer = []
+        for (_, bank_index, _), group in groups.items():
+            oldest = group.entries[0]
+            offer.append(oldest[2])
+            by_key = group.by_key
+            for key in banks[bank_index].open_keys(now):
+                line = by_key.get(key)
+                if line is not None and line[0] is not oldest:
+                    offer.append(line[0][2])
+        return offer
 
     def _service_next(self, channel):
         """Schedule and service exactly one request on *channel*."""
@@ -358,7 +443,7 @@ class MemoryController:
             if request is None:
                 return None
         if request.kind == KIND_WRITEBACK:
-            self._writebacks[channel].remove(request)
+            self._remove_writeback(request)
         else:
             self._queues[channel].remove(request)
         self._slots_used[channel] -= request.slots()
@@ -445,11 +530,14 @@ class MemoryController:
 
     def queued_requests(self):
         """Yield every request still waiting in any channel's queue."""
-        for channel in range(len(self._queues)):
-            yield from self._channel_requests(channel)
+        for queue, groups in zip(self._queues, self._writebacks):
+            yield from queue
+            for group in groups.values():
+                for entry in group.entries:
+                    yield entry[2]
 
     def pending_requests(self):
-        return sum(len(queue) for queue in self._queues + self._writebacks)
+        return sum(len(queue) for queue in self._queues) + sum(self._writeback_counts)
 
     def __repr__(self):
         return "MemoryController(%s, %d pending)" % (

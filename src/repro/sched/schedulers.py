@@ -30,12 +30,17 @@ Conventions shared by every policy:
 * only requests with ``not_before <= now`` are eligible (``None`` is
   returned when nothing is; the controller then advances its clock);
 * ``pending`` holds one class of request: the controller keeps
-  writebacks in a list of their own and offers it only when nothing in
-  the other list (demands, page-table requests, prefetches) is
-  eligible, so writebacks go last without any policy testing for them;
+  writebacks apart and offers them only when none of its demands,
+  page-table requests and prefetches is eligible, so writebacks go last
+  without any policy testing for them;
 * the choice depends on which requests are eligible, not on their order
   in ``pending``: every policy ends with the oldest by
   ``(enqueue_time, req_id)``;
+* a policy may prefer one request over another that shares its cpu,
+  bank, kind and ``not_before`` only by row hit, then by age.  The
+  controller relies on it: from each such group of queued writebacks it
+  offers only the oldest and the oldest on each open row-buffer key,
+  which always include the request a pick over the whole group takes;
 * reservations are *delays*: a bank inside another CPU's grace period is
   off-limits until the reservation expires (the paper keeps the
   prefetched row open before switching to a competing application's

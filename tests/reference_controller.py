@@ -46,7 +46,7 @@ def _pick_writebacks_last(scheduler, pending, now, context):
 
 
 class SingleListController(MemoryController):
-    """See module docstring; the writeback lists stay empty."""
+    """See module docstring; the writeback store stays empty."""
 
     def channel_of(self, paddr):
         return self.device.address_map.bank_index(paddr) // self._banks_per_channel

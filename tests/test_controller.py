@@ -1,5 +1,6 @@
 """Tests for the memory controller (queues, TEMPO hooks, timing)."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -229,6 +230,36 @@ def test_writebacks_yield_to_demands():
         assert controller.service_one(later.channel) is later
         assert later.start_time >= 10**6
         assert controller.pending_requests() == 0
+
+
+def test_writeback_drain_offers_each_pick_a_few_requests():
+    """Draining a backlog of 2,000 writebacks from one CPU, no list
+    the scheduler is offered holds more than two writebacks per bank
+    of the channel: each bank's oldest and its oldest on the open row."""
+    controller, config = _controller(tempo=False)
+    scheduler = controller.scheduler
+    offered = []
+
+    def pick(pending, now, context):
+        offered.append(len(pending))
+        return type(scheduler).pick(scheduler, pending, now, context)
+
+    def pick_lone(request, now, context):
+        offered.append(1)
+        return type(scheduler).pick_lone(scheduler, request, now, context)
+
+    scheduler.pick = pick
+    scheduler.pick_lone = pick_lone
+    rng = random.Random(0)
+    writebacks = [
+        controller.submit_writeback(rng.randrange(1 << 30) & ~63, cpu=0, now=index)
+        for index in range(2000)
+    ]
+    controller.drain_all()
+    assert controller.pending_requests() == 0
+    assert all(request.finish_time is not None for request in writebacks)
+    assert len(offered) >= 2000
+    assert max(offered) <= 2 * config.dram.banks_per_channel
 
 
 def test_grace_period_reserves_bank():

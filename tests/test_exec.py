@@ -28,7 +28,6 @@ from repro.exec import (
     simulate_cell,
 )
 from repro.obs import EventTracer
-from repro.obs.manifest import without_timing
 from repro.sim.metrics import (
     CoreResult,
     DramReferenceBreakdown,
@@ -39,27 +38,10 @@ from repro.sim.metrics import (
 from repro.sim.system import SystemSimulator
 from repro.workloads.registry import make_trace
 
+from tests.result_identity import assert_identical
+
 LENGTH = 900
 WORKLOADS = ("xsbench", "mcf")
-
-
-def _slot_dict(obj):
-    return {name: getattr(obj, name) for name in type(obj).__slots__}
-
-
-def _assert_identical(expected, actual):
-    """Bit-exact equality on everything the figure drivers consume."""
-    assert actual.total_cycles == expected.total_cycles
-    assert actual.energy_total == expected.energy_total
-    assert actual.superpage_fraction == expected.superpage_fraction
-    assert len(actual.cores) == len(expected.cores)
-    for mine, theirs in zip(expected.cores, actual.cores):
-        assert theirs.workload_name == mine.workload_name
-        assert theirs.references == mine.references
-        assert _slot_dict(theirs.runtime) == _slot_dict(mine.runtime)
-        assert _slot_dict(theirs.dram_refs) == _slot_dict(mine.dram_refs)
-        assert _slot_dict(theirs.replay_service) == _slot_dict(mine.replay_service)
-    assert without_timing(actual.stats) == without_timing(expected.stats)
 
 
 def _pair_cells():
@@ -112,8 +94,8 @@ def test_cell_results_bit_identical_across_paths(tmp_path):
     pooled = ExperimentExecutor(workers=2, cache=cache).run_cells(_pair_cells())
     warm = ExperimentExecutor(cache=cache).run_cells(_pair_cells())
     for expected, a, b in zip(serial, pooled, warm):
-        _assert_identical(expected, a)
-        _assert_identical(expected, b)
+        assert_identical(expected, a)
+        assert_identical(expected, b)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +160,7 @@ def test_telemetry_does_not_change_results(tmp_path):
     log = TelemetryLog(str(tmp_path / "telemetry.jsonl"))
     logged = ExperimentExecutor(telemetry=log).run_cells(_pair_cells())
     for expected, actual in zip(plain, logged):
-        _assert_identical(expected, actual)
+        assert_identical(expected, actual)
 
 
 def test_cell_done_is_announced_only_once_the_cell_is_durable(tmp_path):
@@ -251,7 +233,7 @@ def test_stale_schema_entry_not_reused(tmp_path):
     fresh = ExperimentExecutor(cache=cache)
     result = fresh.run_cell(SimCell("xsbench", default_system_config(), LENGTH))
     assert fresh.counters["simulated"] == 1
-    _assert_identical(expected, result)
+    assert_identical(expected, result)
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
@@ -381,4 +363,4 @@ def test_system_fast_path_matches_event_engine():
         traced = SystemSimulator(
             config, [trace], seed=0, probe=EventTracer(limit=16)
         ).run()
-        _assert_identical(fast, traced)
+        assert_identical(fast, traced)

@@ -63,13 +63,17 @@ def test_walk_entry_addresses_are_concatenations(table):
 
 def test_faulting_walk_reports_partial_path(table):
     table.map(VADDR, 0xABC000, PAGE_SIZE_4K)
-    # Same L4 subtree, different L3 entry: the walk reads L4 then faults.
-    other = VADDR + (1 << 39)
-    assert radix_index(other, 4) != radix_index(VADDR, 4) or True
-    result = table.walk(0x9999_0000_0000)
+    # Same L4 entry, different L3 entry: the walk reads L4, then faults
+    # on the empty L3 entry.
+    other = VADDR ^ (1 << 30)
+    assert radix_index(other, 4) == radix_index(VADDR, 4)
+    assert radix_index(other, 3) != radix_index(VADDR, 3)
+    result = table.walk(other)
     assert result.faulted
     assert result.entry is None
-    assert 1 <= len(result.accesses) <= 4
+    assert result.leaf_level == 3
+    assert [level for level, _ in result.accesses] == [4, 3]
+    assert result.accesses[0] == table.walk(VADDR).accesses[0]
 
 
 def test_map_rejects_misaligned(table):

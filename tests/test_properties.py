@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -259,6 +260,51 @@ def test_bank_timing_monotonic_and_outcomes_valid(accesses):
         now = end + (37 if jump else 0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.integers(0, 5),  # row
+            st.integers(0, DramConfig().row_bytes - 1),  # row offset
+            st.integers(0, 3),  # cpu
+            st.booleans(),  # prefetch
+            st.integers(0, 3000),  # gap before the access
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_bank_open_keys_agree_with_classify(subrows, accesses):
+    """``classify`` reports a hit exactly when ``buffer_key`` is among
+    ``open_keys``, for whole-row banks (the adaptive policy's
+    auto-close and refresh included) and for sub-row banks, between
+    every two accesses."""
+    from dataclasses import replace
+
+    from repro.common.config import RowPolicyConfig
+    from repro.dram.bank import Bank, OUTCOME_HIT
+    from repro.dram.row_policy import make_row_policy
+    from repro.dram.subrow import SubRowBank
+
+    config = DramConfig(refresh_interval_cycles=5000, refresh_cycles=300)
+    if subrows:
+        config = replace(config, subrows=replace(config.subrows, enabled=True))
+        bank = SubRowBank(0, 16, config, num_cpus=4)
+    else:
+        bank = Bank(0, 16, config, make_row_policy(RowPolicyConfig()))
+    now = 0
+    for row, offset, cpu, prefetch, gap in accesses:
+        for probe_now in (now, now + gap):
+            for probe_row in range(6):
+                for probe_offset in (0, offset, config.row_bytes - 1):
+                    hit = bank.classify(probe_row, probe_now, probe_offset) == OUTCOME_HIT
+                    key = bank.buffer_key(probe_row, probe_offset)
+                    assert hit == (key in bank.open_keys(probe_now))
+        now += gap
+        _, now, _ = bank.access(row, now, None, cpu, prefetch, offset)
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.lists(
@@ -442,6 +488,80 @@ def test_controller_matches_whole_queue_reference(ops, policy, tempo, num_cpus, 
     replies, dropped prefetches and every controller, scheduler and DRAM
     counter equal the whole-queue reference's, with whole-row or
     sub-row banks."""
+    _assert_matches_reference(ops, policy, tempo, num_cpus, subrows)
+
+
+def _packed_paddr(row, bank, channel, offset):
+    """The physical address at *offset* in *row* of *bank* on *channel*
+    under the default address map (offset, channel, bank, row from the
+    low bits up)."""
+    address_map = AddressMap(DramConfig())
+    above = (row << address_map.bank_bits | bank) << address_map.channel_bits | channel
+    return above << address_map.row_shift | offset
+
+
+# Four rows of three banks per channel: groups of several writebacks,
+# rows that repeat, and (at 1 KB sub-rows) several buffer keys per row.
+_packed_paddrs = st.builds(
+    _packed_paddr,
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=DramConfig().row_bytes - 1),
+)
+
+_packed_writebacks = st.tuples(
+    st.just("async"),
+    _packed_paddrs,
+    st.just("writeback"),
+    st.integers(min_value=0, max_value=3),  # cpu, modulo the CPU count
+    # Mostly faster than DRAM serves them; a long step gives a not_before
+    # lead that younger writebacks of the same cpu and bank overtake.
+    st.one_of(st.integers(min_value=0, max_value=30), st.sampled_from((200, 600))),
+    st.sampled_from((False, False, False, True)),  # a not_before lead
+    st.just(False),
+)
+
+_packed_others = st.tuples(
+    st.sampled_from(("wait", "wait", "service", "service", "advance")),
+    _packed_paddrs,
+    st.sampled_from(("demand", "pt")),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=300),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@st.composite
+def _writeback_heavy_ops(draw):
+    # Each writeback is followed, one time in five, by one of the other
+    # ops.  Hypothesis shrinks one list like this far faster than a
+    # permutation of two lists.
+    ops = []
+    for writeback in draw(st.lists(_packed_writebacks, min_size=30, max_size=200)):
+        ops.append(writeback)
+        if draw(st.integers(min_value=0, max_value=4)) == 4:
+            ops.append(draw(_packed_others))
+    return ops
+
+
+@pytest.mark.parametrize("subrows", (False, True), ids=("rows", "subrows"))
+@pytest.mark.parametrize("tempo", ("off", "on", "on+grouping"))
+@pytest.mark.parametrize("policy", ("fcfs", "frfcfs", "bliss", "atlas"))
+@settings(max_examples=5, deadline=None)
+@given(_writeback_heavy_ops(), st.integers(min_value=1, max_value=4))
+def test_writeback_store_matches_whole_queue_reference(
+    policy, tempo, subrows, ops, num_cpus
+):
+    """The writeback store offers each pick a few requests per (cpu,
+    bank, not_before) group instead of the whole backlog; with many
+    writebacks per group, on repeating rows and sub-rows, nothing anyone
+    can observe changes."""
+    _assert_matches_reference(ops, policy, tempo, num_cpus, subrows)
+
+
+def _assert_matches_reference(ops, policy, tempo, num_cpus, subrows):
     from dataclasses import replace
 
     from repro.common.config import default_system_config

@@ -33,7 +33,8 @@ from repro.exec import (
     missing_cell_payload,
     payload_to_result,
 )
-from repro.obs.manifest import without_timing
+
+from tests.result_identity import assert_identical
 
 LENGTH = 600
 
@@ -41,23 +42,6 @@ LENGTH = 600
 def _cells(count=4):
     config = default_system_config()
     return [SimCell("xsbench", config, LENGTH, seed=seed) for seed in range(count)]
-
-
-def _slot_dict(obj):
-    return {name: getattr(obj, name) for name in type(obj).__slots__}
-
-
-def _assert_identical(expected, actual):
-    assert actual.total_cycles == expected.total_cycles
-    assert actual.energy_total == expected.energy_total
-    assert actual.superpage_fraction == expected.superpage_fraction
-    for mine, theirs in zip(expected.cores, actual.cores):
-        assert theirs.workload_name == mine.workload_name
-        assert theirs.references == mine.references
-        assert _slot_dict(theirs.runtime) == _slot_dict(mine.runtime)
-        assert _slot_dict(theirs.dram_refs) == _slot_dict(mine.dram_refs)
-        assert _slot_dict(theirs.replay_service) == _slot_dict(mine.replay_service)
-    assert without_timing(actual.stats) == without_timing(expected.stats)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +64,7 @@ def test_inline_injected_fault_retries_to_identical_result(tmp_path, clean_resul
     assert executor.counters["simulated"] == 4
     assert not executor.failed_cells
     for expected, actual in zip(clean_results, results):
-        _assert_identical(expected, actual)
+        assert_identical(expected, actual)
 
 
 def test_worker_crash_mid_batch_requeues_on_fresh_worker(tmp_path, clean_results):
@@ -95,7 +79,7 @@ def test_worker_crash_mid_batch_requeues_on_fresh_worker(tmp_path, clean_results
     assert executor.counters["crashes"] == 2
     assert executor.counters["retries"] == 2
     for expected, actual in zip(clean_results, results):
-        _assert_identical(expected, actual)
+        assert_identical(expected, actual)
 
 
 def _hang_killed_then_retried(tmp_path, clean_results, cell_timeout):
@@ -114,7 +98,7 @@ def _hang_killed_then_retried(tmp_path, clean_results, cell_timeout):
     assert executor.counters["timeouts"] == 1
     assert executor.counters["retries"] == 1
     for expected, actual in zip(clean_results[:2], results):
-        _assert_identical(expected, actual)
+        assert_identical(expected, actual)
 
 
 def test_cell_timeout_kills_then_succeeds_on_retry(tmp_path, clean_results):
@@ -171,13 +155,13 @@ def test_allow_partial_degrades_to_marked_missing_cells(tmp_path, clean_results)
     assert results[0].stats["missing_cell"] == 1
     assert results[0].total_cycles == 0
     # ...the healthy one is untouched...
-    _assert_identical(clean_results[1], results[1])
+    assert_identical(clean_results[1], results[1])
     # ...and the placeholder was never cached: a later run re-simulates.
     retry = ExperimentExecutor(cache=ResultCache(str(tmp_path)))
     fresh = retry.run_cells(cells)
     assert retry.counters["simulated"] == 1
     assert retry.counters["cache_hits"] == 1
-    _assert_identical(clean_results[0], fresh[0])
+    assert_identical(clean_results[0], fresh[0])
 
 
 def test_missing_cell_payload_is_schema_correct():
@@ -210,7 +194,7 @@ def test_corrupt_entry_is_quarantined_and_resimulated(tmp_path, clean_results):
     assert executor.counters["quarantined"] == 1
     assert executor.counters["simulated"] == 1
     assert executor.counters["cache_hits"] == 0
-    _assert_identical(clean_results[0], results[0])
+    assert_identical(clean_results[0], results[0])
     # The bad entry was preserved, not deleted.
     quarantine_dir = os.path.join(str(tmp_path), "quarantine")
     quarantined = [
@@ -290,7 +274,7 @@ def test_kill_at_checkpoint_then_resume_is_bit_identical(
     assert rerun.counters["cache_hits"] == 2
     assert rerun.counters["simulated"] == 2
     for expected, actual in zip(clean_results, results):
-        _assert_identical(expected, actual)
+        assert_identical(expected, actual)
 
 
 # ----------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_lost_queued_writeback_caught_by_stat_conservation():
     suite = AuditorSuite("full")
     assert suite.audit_all(machine) == []
     lost = next(iter(machine.controller.queued_requests()))
-    machine.controller._writebacks[lost.channel].remove(lost)
+    machine.controller._remove_writeback(lost)
     violations = suite.audit_all(machine)
     assert _auditors_firing(violations) == {"stat_conservation"}
     assert _invariants_firing(violations) == {"queue_accounting"}
