@@ -41,6 +41,14 @@ request, the pick goes through ``pick_lone`` instead of the policy's
 scan.  Either way the choice, the timing and every counter are those of
 ``pick``.
 
+One rule, :meth:`MemoryController._earliest_available`, says when a
+channel can next serve: each request's ``not_before``, pushed to the end
+of a grace period its bank holds against its cpu; it gives both the
+multicore driver's decision time and the clock jump after a refused
+pick.  A pick that still refuses at that time means the rule and the
+scheduler disagree, and the controller raises :class:`~repro.common.
+errors.SimulationError` there instead of spinning on the channel.
+
 TEMPO hooks, all active only when a :class:`~repro.core.prefetch_engine.
 PrefetchEngine` is installed:
 
@@ -57,8 +65,8 @@ PrefetchEngine` is installed:
 """
 
 import bisect
-import itertools
 
+from repro.common.errors import SimulationError
 from repro.common.stats import StatGroup
 from repro.dram.bank import OUTCOME_CONFLICT, OUTCOME_HIT, OUTCOME_MISS, DramDevice
 from repro.dram.subrow import SubRowSet
@@ -320,30 +328,14 @@ class MemoryController:
     def has_pending(self, channel):
         return bool(self._queues[channel] or self._writebacks[channel])
 
-    def _channel_requests(self, channel):
-        """The channel's list and the oldest writeback of each group:
-        enough for anything read off cpu, bank and ``not_before`` alone
-        (availability, the earliest ``not_before``)."""
-        groups = self._writebacks[channel]
-        if not groups:
-            return self._queues[channel]
-        return itertools.chain(
-            self._queues[channel], [group.entries[0][2] for group in groups.values()]
-        )
-
     def next_decision_time(self, channel):
         """Earliest time *channel* could service its next request, or
         ``None`` when its queue is empty.  The event-driven multicore
         driver services channels in decision-time order so cross-core
         causality holds."""
-        if not self.has_pending(channel):
+        if not (self._queues[channel] or self._writebacks[channel]):
             return None
-        now = self._clock[channel]
-        earliest = min(
-            self._available_at(request, now)
-            for request in self._channel_requests(channel)
-        )
-        return max(now, earliest)
+        return self._earliest_available(channel, self._clock[channel])
 
     def service_one(self, channel):
         """Service exactly one request on *channel* (public wrapper)."""
@@ -377,11 +369,19 @@ class MemoryController:
     # ------------------------------------------------------------------
 
     def _drain_channel_until(self, channel, time):
-        while self.has_pending(channel):
-            earliest = max(
-                self._clock[channel],
-                min(request.not_before for request in self._channel_requests(channel)),
-            )
+        queue = self._queues[channel]
+        groups = self._writebacks[channel]
+        while (queue or groups) and self._clock[channel] < time:
+            # A request is due before *time* when its not_before is; the
+            # horizon does not look at grace reservations (ROADMAP item
+            # 2's defect).
+            earliest = time
+            for request in queue:
+                if request.not_before < earliest:
+                    earliest = request.not_before
+            for _, _, not_before in groups:
+                if not_before < earliest:
+                    earliest = not_before
             if earliest >= time:
                 return
             self._service_next(channel)
@@ -426,36 +426,75 @@ class MemoryController:
         return offer
 
     def _service_next(self, channel):
-        """Schedule and service exactly one request on *channel*."""
-        if not self.has_pending(channel):
+        """Schedule and service exactly one request on *channel*; None
+        when its queue is empty."""
+        queue = self._queues[channel]
+        if not (queue or self._writebacks[channel]):
             return None
         now = self._clock[channel]
         request = self._pick(channel, now)
         if request is None:
             # Nothing eligible yet: jump to the earliest availability,
-            # accounting for grace-period reservations (which always
-            # expire, so this cannot deadlock).
-            now = min(
-                self._available_at(req, now) for req in self._channel_requests(channel)
-            )
-            self._clock[channel] = now
+            # where the pick takes something (grace reservations always
+            # expire).
+            now = self._clock[channel] = self._earliest_available(channel, now)
             request = self._pick(channel, now)
             if request is None:
-                return None
+                raise self._refused_at_availability(channel, now)
         if request.kind == KIND_WRITEBACK:
             self._remove_writeback(request)
         else:
-            self._queues[channel].remove(request)
+            queue.remove(request)
         self._slots_used[channel] -= request.slots()
         return self._service(channel, request)
 
-    def _available_at(self, request, now):
-        """Earliest time *request* becomes schedulable."""
-        available = request.not_before
-        bank = self._banks[request.bank_index]
-        if bank.reserved_against(request.cpu, max(now, available)):
-            available = max(available, bank.reserved_until)
-        return available
+    def _earliest_available(self, channel, now):
+        """The earliest time from *now* on when a request queued on
+        *channel* is schedulable: its ``not_before``, pushed to the end
+        of a grace period its bank holds against its cpu then.  The
+        channel must not be empty.  A writeback group's oldest stands
+        for the group: they share cpu, bank and ``not_before``."""
+        requests = self._queues[channel]
+        groups = self._writebacks[channel]
+        if groups:
+            requests = requests + [group.entries[0][2] for group in groups.values()]
+        banks = self._banks
+        earliest = None
+        for request in requests:
+            available = request.not_before
+            if available < now:
+                available = now
+            bank = banks[request.bank_index]
+            if bank.reserved_against(request.cpu, available):
+                available = bank.reserved_until
+            if earliest is None or available < earliest:
+                if available == now:
+                    return now
+                earliest = available
+        return earliest
+
+    def _refused_at_availability(self, channel, now):
+        """The error for a pick that refuses every request on *channel*
+        at the earliest availability *now*: looping would hang."""
+        banks = self._banks
+        queued = [
+            {
+                "req_id": request.req_id,
+                "kind": request.kind,
+                "cpu": request.cpu,
+                "bank": request.bank_index,
+                "not_before": request.not_before,
+                "reserved_cpu": banks[request.bank_index].reserved_cpu,
+                "reserved_until": banks[request.bank_index].reserved_until,
+            }
+            for request in self.queued_requests()
+            if request.channel == channel
+        ]
+        return SimulationError(
+            "the scheduler took nothing on channel %d at its earliest "
+            "availability, cycle %d" % (channel, now),
+            context={"channel": channel, "clock": now, "queued": queued},
+        )
 
     def _service(self, channel, request):
         keep_open_extra = None

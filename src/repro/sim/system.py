@@ -355,10 +355,12 @@ class SystemSimulator:
         _START = object()
         for core in self.cores:
             state[core.cpu] = ("run", None, _START) if has_next(core) else None
+        cpus = sorted(state)
+        channels = range(controller.num_channels)
 
         while True:
             # Phase A: run every unblocked core until it blocks or ends.
-            for cpu in sorted(state):
+            for cpu in cpus:
                 entry = state[cpu]
                 if entry is None or entry[0] != "run":
                     continue
@@ -400,24 +402,24 @@ class SystemSimulator:
                 break  # every core finished its records
 
             # Phase B: service queues in decision-time order until at
-            # least one blocked request completes.  (An "advance" during
-            # Phase A may already have serviced a blocked request, so
-            # completion is detected on the request, not the return.)
+            # least one blocked request completes.  An "advance" during
+            # Phase A may already have serviced blocked requests, so the
+            # blocked set is checked once here; after that a blocked
+            # request completes only when it is the one serviced.
             resumed = []
-            while True:
-                for req_id in list(blocked):
-                    cpu, events, request = blocked[req_id]
-                    if request.finish_time is not None:
-                        resumed.append((cpu, events, request.finish_time))
-                        del blocked[req_id]
-                if resumed:
-                    break
-                pending_channels = [
-                    ch
-                    for ch in range(controller.num_channels)
-                    if controller.has_pending(ch)
-                ]
-                if not pending_channels:
+            for req_id in list(blocked):
+                if blocked[req_id][2].finish_time is not None:
+                    resumed.append(blocked.pop(req_id))
+            while not resumed:
+                # The earliest decision time; a tie goes to the lowest
+                # channel.
+                channel = None
+                for candidate in channels:
+                    if controller.has_pending(candidate):
+                        decision = controller.next_decision_time(candidate)
+                        if channel is None or decision < earliest:
+                            channel, earliest = candidate, decision
+                if channel is None:
                     raise SimulationError(
                         "cores blocked on requests that are neither queued "
                         "nor serviced -- controller state is inconsistent",
@@ -428,10 +430,11 @@ class SystemSimulator:
                             ),
                         },
                     )
-                channel = min(pending_channels, key=controller.next_decision_time)
-                controller.service_one(channel)
-            for cpu, events, finish in resumed:
-                state[cpu] = ("run", events, finish)
+                served = controller.service_one(channel)
+                if served.req_id in blocked:
+                    resumed.append(blocked.pop(served.req_id))
+            for cpu, events, request in resumed:
+                state[cpu] = ("run", events, request.finish_time)
 
     def _build_result(self, total_cycles):
         core_results = []

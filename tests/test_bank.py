@@ -1,8 +1,10 @@
 """Tests for the bank row-buffer state machine + DRAM device."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.common.config import DramConfig, RowPolicyConfig
+from repro.common.config import DramConfig, RowPolicyConfig, SubRowConfig
 from repro.dram.bank import (
     OUTCOME_CONFLICT,
     OUTCOME_HIT,
@@ -11,6 +13,7 @@ from repro.dram.bank import (
     DramDevice,
 )
 from repro.dram.row_policy import ClosedRowPolicy, OpenRowPolicy, make_row_policy
+from repro.dram.subrow import SubRowBank
 
 
 def _bank(policy=None, config=None):
@@ -201,3 +204,30 @@ def test_refresh_disabled_with_zero_interval():
     assert bank.stats.counter("refreshes").value == 0
     _, _, outcome = bank.access(3, 2 * 10**7)
     assert outcome == OUTCOME_HIT  # never refreshed away
+
+
+def _refreshing_bank(kind):
+    """A bank of *kind* refreshing every 5,000 cycles for 300."""
+    config = replace(DramConfig(), refresh_interval_cycles=5000, refresh_cycles=300)
+    if kind == "rows":
+        return Bank(0, 16, config, OpenRowPolicy())
+    config = replace(config, subrows=SubRowConfig(enabled=True))
+    return SubRowBank(0, 16, config, num_cpus=1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="classify ignores a refresh due by now; only access applies it "
+    "(ROADMAP item 2, fixed with the next golden rewrite)",
+)
+@pytest.mark.parametrize("kind", ["rows", "subrows"])
+def test_classify_sees_a_due_refresh(kind):
+    """``classify`` answers what an ``access`` at the same time would
+    see: row 7, opened at 4,000, is refreshed away by 5,100."""
+    banks = [_refreshing_bank(kind), _refreshing_bank(kind)]
+    for bank in banks:
+        bank.access(7, 4000)
+    predicted = banks[0].classify(7, 5100)
+    _, _, outcome = banks[1].access(7, 5100)
+    assert outcome == OUTCOME_MISS
+    assert predicted == outcome

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.common.config import default_system_config
+from repro.common.errors import SimulationError
 from repro.core.prefetch_engine import PrefetchEngine
 from repro.dram.bank import OUTCOME_HIT
 from repro.dram.energy import EnergyModel
@@ -139,7 +140,7 @@ def test_advance_to_serves_writebacks_behind_future_requests():
 @pytest.mark.xfail(
     strict=True,
     reason="advance_to stops on not_before but not on grace reservations, so it "
-    "services a reserved-against request after its horizon (ROADMAP item 6)",
+    "services a reserved-against request after its horizon (ROADMAP item 2)",
 )
 def test_advance_to_decides_nothing_past_its_horizon():
     config = default_system_config().copy_with(num_cores=2)
@@ -150,6 +151,71 @@ def test_advance_to_decides_nothing_past_its_horizon():
     controller.advance_to(100)
     assert request.start_time is None
     assert controller.now <= 100
+
+
+class _RefusingScheduler:
+    """A policy that takes nothing, so the pick after the clock jump
+    refuses too.  It fails the test after a few hundred picks, so a
+    controller that loops on the refusal fails instead of hanging."""
+
+    name = "refusing"
+
+    def __init__(self):
+        self.picks = 0
+
+    def pick(self, pending, now, context):
+        return self.pick_lone(pending[0], now, context)
+
+    def pick_lone(self, request, now, context):
+        self.picks += 1
+        assert self.picks < 300, "the controller kept picking on a refusal"
+        return None
+
+    def on_scheduled(self, request, now):
+        raise AssertionError("a refusing policy scheduled %r" % (request,))
+
+
+def test_a_pick_refused_at_the_earliest_availability_raises():
+    """The clock jump after a refused pick goes to the channel's earliest
+    availability, where the pick must take something.  When it does not,
+    ``service_one`` and ``submit_and_wait`` raise instead of looping,
+    naming the channel, its clock and each queued request with its
+    bank's reservation."""
+    controller, _ = _controller(tempo=False)
+    controller.scheduler = _RefusingScheduler()
+    controller.device.bank_for(0x40).reserve(0, 700)
+    request = MemoryRequest(0x40, KIND_DEMAND, cpu=1, not_before=500)
+    controller.submit_async(request, 100)
+    writeback = controller.submit_writeback(0x0, cpu=0, now=100)
+    assert writeback.channel == request.channel
+    empty = 1 - request.channel
+    assert not controller.has_pending(empty)
+    assert controller.service_one(empty) is None
+
+    with pytest.raises(SimulationError) as raised:
+        controller.service_one(request.channel)
+    context = raised.value.context
+    assert context["channel"] == request.channel
+    # The reserving cpu's writeback is available at 100; the demand
+    # only at 700.
+    assert context["clock"] == 100
+    queued = {entry["req_id"]: entry for entry in context["queued"]}
+    assert queued[request.req_id] == {
+        "req_id": request.req_id,
+        "kind": KIND_DEMAND,
+        "cpu": 1,
+        "bank": request.bank_index,
+        "not_before": 500,
+        "reserved_cpu": 0,
+        "reserved_until": 700,
+    }
+    assert queued[writeback.req_id]["kind"] == "writeback"
+    assert request.finish_time is None
+
+    controller, _ = _controller(tempo=False)
+    controller.scheduler = _RefusingScheduler()
+    with pytest.raises(SimulationError):
+        controller.submit_and_wait(MemoryRequest(0x40, KIND_DEMAND), 0)
 
 
 def test_txq_overflow_drops_prefetches():
