@@ -1,31 +1,18 @@
 """A single set-associative, write-back cache level.
 
-Lines are tracked by line id (``paddr >> 6``); LRU recency uses dict
-insertion order, "random" replacement uses a deterministic stream so
-experiments stay reproducible.
+Every method takes a line id (``paddr >> CACHE_LINE_SHIFT``), which the
+:class:`~repro.cache.hierarchy.CacheHierarchy` computes once per call;
+every level's lines are 64 bytes (``CacheConfig.validate``).  A set is a
+dict from line id to dirty flag: LRU recency is its insertion order,
+and "random" replacement draws from a deterministic stream so
+experiments stay reproducible.  ``fill`` hands back only a dirty
+victim, the one line a caller writes back.
 """
 
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
-
-
-class EvictedLine:
-    """A victim pushed out of a cache level."""
-
-    __slots__ = ("line_id", "dirty")
-
-    def __init__(self, line_id, dirty):
-        self.line_id = line_id
-        self.dirty = dirty
-
-    @property
-    def paddr(self):
-        return self.line_id << 6
-
-    def __repr__(self):
-        return "EvictedLine(0x%x%s)" % (self.paddr, " dirty" if self.dirty else "")
 
 
 class Cache:
@@ -43,7 +30,6 @@ class Cache:
         self.num_sets = config.num_sets
         self.assoc = config.assoc
         self._set_mask = self.num_sets - 1
-        self._line_shift = config.line_bytes.bit_length() - 1
         # One dict per set: line_id -> dirty flag (LRU = first key).
         self._sets = [dict() for _ in range(self.num_sets)]
         self._random_replacement = config.replacement == "random"
@@ -57,16 +43,9 @@ class Cache:
         self._evictions = self.stats.counter("evictions")
         self._dirty_evictions = self.stats.counter("dirty_evictions")
 
-    def line_id(self, paddr):
-        return paddr >> self._line_shift
-
-    def _set_for(self, line_id):
-        return self._sets[line_id & self._set_mask]
-
-    def lookup(self, paddr, is_write=False):
-        """Probe for the line holding *paddr*; updates recency and dirty
-        state on a hit.  Returns True on hit."""
-        line = paddr >> self._line_shift
+    def lookup(self, line, is_write=False):
+        """Probe for *line*; updates recency and dirty state on a hit.
+        Returns True on hit."""
         entries = self._sets[line & self._set_mask]
         dirty = entries.pop(line, None)
         if dirty is None:
@@ -76,17 +55,16 @@ class Cache:
         self._hits.value += 1
         return True
 
-    def contains(self, paddr):
+    def contains(self, line):
         """Non-updating probe (for invariant checks and tests)."""
-        line = self.line_id(paddr)
-        return line in self._set_for(line)
+        return line in self._sets[line & self._set_mask]
 
-    def fill(self, paddr, is_write=False, is_prefetch=False):
-        """Install the line holding *paddr*.
+    def fill(self, line, is_write=False, is_prefetch=False):
+        """Install *line*.
 
-        Returns the :class:`EvictedLine` victim, or ``None``.
+        Returns the line id of the victim it evicts if that victim is
+        dirty, else ``None``; a clean victim is only counted.
         """
-        line = paddr >> self._line_shift
         entries = self._sets[line & self._set_mask]
         existing = entries.pop(line, None)
         if existing is not None:
@@ -95,40 +73,19 @@ class Cache:
         victim = None
         if len(entries) >= self.assoc:
             if self._random_replacement:
-                victim_line = list(entries)[self._rng.randint(0, len(entries) - 1)]
+                evicted = list(entries)[self._rng.randint(0, len(entries) - 1)]
             else:
-                victim_line = next(iter(entries))
-            victim = EvictedLine(victim_line, entries.pop(victim_line))
+                evicted = next(iter(entries))
             self._evictions.value += 1
-            if victim.dirty:
+            if entries.pop(evicted):
                 self._dirty_evictions.value += 1
+                victim = evicted
         entries[line] = is_write
         if is_prefetch:
             self._prefetch_fills.value += 1
         else:
             self._fills.value += 1
         return victim
-
-    def invalidate(self, paddr):
-        """Drop the line holding *paddr*; returns it if it was present."""
-        line = self.line_id(paddr)
-        entries = self._set_for(line)
-        dirty = entries.pop(line, None)
-        if dirty is None:
-            return None
-        self.stats.counter("invalidations").add()
-        return EvictedLine(line, dirty)
-
-    def flush(self):
-        """Drop every line; returns the dirty victims (writeback set)."""
-        dirty_lines = []
-        for entries in self._sets:
-            dirty_lines.extend(
-                EvictedLine(line, True) for line, dirty in entries.items() if dirty
-            )
-            entries.clear()
-        self.stats.counter("flushes").add()
-        return dirty_lines
 
     @property
     def occupancy(self):

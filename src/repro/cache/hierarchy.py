@@ -6,13 +6,16 @@ full miss the caller performs the DRAM access and then calls
 ``fill_from_memory``.  TEMPO's LLC prefetch enters through
 ``prefetch_fill_llc`` (paper Figure 7, step 7).
 
-Dirty victims cascade to the next level (allocate-on-writeback); dirty
-LLC victims are returned to the caller so the memory controller can
-account the DRAM write traffic.
+Each call shifts its address to a line id once and works in line ids
+from there on.  Dirty victims cascade to the next level
+(allocate-on-writeback); the addresses of dirty LLC victims are handed
+to the caller so the memory controller can account the DRAM write
+traffic.
 """
 
 from typing import NamedTuple, Optional
 
+from repro.common.constants import CACHE_LINE_SHIFT
 from repro.common.stats import StatGroup
 from repro.cache.cache import Cache
 
@@ -58,40 +61,40 @@ class CacheHierarchy:
     def access(self, cpu, paddr, is_write=False):
         """Probe L1 -> L2 -> LLC for the line holding *paddr*.
 
-        Returns an :class:`AccessResult`; ``needs_dram`` means the caller
-        must fetch from memory and then call :meth:`fill_from_memory`.
+        A lower-level hit refills L1 (with the store's dirty bit) and,
+        after an LLC hit, L2.  Returns an :class:`AccessResult`;
+        ``needs_dram`` means the caller must fetch from memory and then
+        call :meth:`fill_from_memory`.
         """
-        if self.l1[cpu].lookup(paddr, is_write):
+        line = paddr >> CACHE_LINE_SHIFT
+        if self.l1[cpu].lookup(line, is_write):
             return self._l1_hit
-        if self.l2[cpu].lookup(paddr, is_write):
-            self._fill_upper(cpu, paddr, is_write, into_l2=False)
+        if self.l2[cpu].lookup(line, is_write):
+            victim = self.l1[cpu].fill(line, is_write)
+            if victim is not None:
+                self._writeback_to_l2(cpu, victim)
             return self._l2_hit
-        if self.llc.lookup(paddr, is_write):
-            self._fill_upper(cpu, paddr, is_write, into_l2=True)
+        if self.llc.lookup(line, is_write):
+            victim = self.l1[cpu].fill(line, is_write)
+            if victim is not None:
+                self._writeback_to_l2(cpu, victim)
+            victim = self.l2[cpu].fill(line)
+            if victim is not None:
+                self._writeback_to_llc(victim)
             return self._llc_hit
         return self._miss
 
-    def _fill_upper(self, cpu, paddr, is_write, into_l2):
-        """Refill L1 (and optionally L2) after a lower-level hit."""
-        victim = self.l1[cpu].fill(paddr, is_write)
-        if victim is not None and victim.dirty:
-            self._writeback_to_l2(cpu, victim)
-        if into_l2:
-            victim = self.l2[cpu].fill(paddr)
-            if victim is not None and victim.dirty:
-                self._writeback_to_llc(victim)
-
-    def _writeback_to_l2(self, cpu, victim):
-        deeper = self.l2[cpu].fill(victim.paddr, is_write=True)
+    def _writeback_to_l2(self, cpu, line):
+        victim = self.l2[cpu].fill(line, True)
         self._l1_writebacks.value += 1
-        if deeper is not None and deeper.dirty:
-            self._writeback_to_llc(deeper)
+        if victim is not None:
+            self._writeback_to_llc(victim)
 
-    def _writeback_to_llc(self, victim):
-        deeper = self.llc.fill(victim.paddr, is_write=True)
+    def _writeback_to_llc(self, line):
+        victim = self.llc.fill(line, True)
         self._l2_writebacks.value += 1
-        if deeper is not None and deeper.dirty:
-            self._pending_dram_writebacks.append(deeper)
+        if victim is not None:
+            self._pending_dram_writebacks.append(victim << CACHE_LINE_SHIFT)
 
     def fill_from_memory(self, cpu, paddr, is_write=False):
         """Install a DRAM-fetched line in all three levels.
@@ -99,27 +102,29 @@ class CacheHierarchy:
         Dirty LLC victims accumulate; collect them with
         :meth:`drain_writebacks`.
         """
-        llc_victim = self.llc.fill(paddr)
-        if llc_victim is not None and llc_victim.dirty:
-            self._pending_dram_writebacks.append(llc_victim)
-        l2_victim = self.l2[cpu].fill(paddr)
-        if l2_victim is not None and l2_victim.dirty:
-            self._writeback_to_llc(l2_victim)
-        l1_victim = self.l1[cpu].fill(paddr, is_write)
-        if l1_victim is not None and l1_victim.dirty:
-            self._writeback_to_l2(cpu, l1_victim)
+        line = paddr >> CACHE_LINE_SHIFT
+        victim = self.llc.fill(line)
+        if victim is not None:
+            self._pending_dram_writebacks.append(victim << CACHE_LINE_SHIFT)
+        victim = self.l2[cpu].fill(line)
+        if victim is not None:
+            self._writeback_to_llc(victim)
+        victim = self.l1[cpu].fill(line, is_write)
+        if victim is not None:
+            self._writeback_to_l2(cpu, victim)
 
     def prefetch_fill_llc(self, paddr):
         """TEMPO's LLC prefetch: install the replay line in the LLC only
         (paper Figure 7, step 7)."""
-        victim = self.llc.fill(paddr, is_prefetch=True)
+        victim = self.llc.fill(paddr >> CACHE_LINE_SHIFT, False, True)
         self._tempo_llc_prefetch_fills.value += 1
-        if victim is not None and victim.dirty:
-            self._pending_dram_writebacks.append(victim)
+        if victim is not None:
+            self._pending_dram_writebacks.append(victim << CACHE_LINE_SHIFT)
 
     def drain_writebacks(self):
-        """Collect dirty LLC victims accumulated since the last drain;
-        the memory controller turns them into DRAM write traffic."""
+        """Collect the addresses of the dirty LLC victims accumulated
+        since the last drain, as a tuple; the memory controller turns
+        them into DRAM write traffic."""
         if not self._pending_dram_writebacks:
             return ()
         writebacks = tuple(self._pending_dram_writebacks)

@@ -122,7 +122,12 @@ class CacheConfig:
     def validate(self) -> None:
         _require(self.size_bytes > 0, "cache size must be positive")
         _require(self.assoc > 0, "cache associativity must be positive")
-        _require(_power_of_two(self.line_bytes), "cache line size must be a power of two")
+        # Line ids, victims' writeback addresses and DRAM request
+        # addresses all assume CACHE_LINE_BYTES lines.
+        _require(
+            self.line_bytes == CACHE_LINE_BYTES,
+            "cache line size must be %d bytes, got %d" % (CACHE_LINE_BYTES, self.line_bytes),
+        )
         sets = self.size_bytes // (self.assoc * self.line_bytes)
         _require(sets > 0, "cache too small for its associativity")
         _require(_power_of_two(sets), "cache set count must be a power of two")

@@ -620,8 +620,8 @@ class SystemSimulator:
         the controller, report it, and advance the core's clock.  With
         an IMP prefetcher the result is the generator of the IMP trigger
         the retirement fires; otherwise None."""
-        for victim in self.hierarchy.drain_writebacks():
-            self.controller.submit_writeback(victim.paddr, core.cpu, time)
+        for paddr in self.hierarchy.drain_writebacks():
+            self.controller.submit_writeback(paddr, core.cpu, time)
             core.dram_refs.writeback += 1
         if self.probe is not None:
             self.probe.on_ref(core.cpu, record, arrival, begin, time, walked, service)

@@ -265,8 +265,8 @@ class CacheSanityAuditor(InvariantAuditor):
       bug puts the same line id in two sets -- set-index consistency is
       the dict-based model's equivalent of the duplicate check);
     * no set exceeds its associativity;
-    * occupancy is exactly ``fills + prefetch_fills - evictions -
-      invalidations`` while no flush has occurred.
+    * occupancy is exactly ``fills + prefetch_fills - evictions`` (a
+      cache level only ever drops a line by evicting it).
     """
 
     name = "cache_sanity"
@@ -300,20 +300,14 @@ class CacheSanityAuditor(InvariantAuditor):
                         )
                     seen[line_id] = index
             stats = cache.stats
-            if stats.peek("flushes") == 0:
-                expected = (
-                    stats.peek("fills")
-                    + stats.peek("prefetch_fills")
-                    - stats.peek("evictions")
-                    - stats.peek("invalidations")
+            expected = stats.peek("fills") + stats.peek("prefetch_fills") - stats.peek("evictions")
+            if cache.occupancy != expected:
+                yield self._violation(
+                    "occupancy_accounting",
+                    "%s holds %d lines but fill/eviction counters "
+                    "predict %d" % (cache.name, cache.occupancy, expected),
+                    {"cache": cache.name, "occupancy": cache.occupancy},
                 )
-                if cache.occupancy != expected:
-                    yield self._violation(
-                        "occupancy_accounting",
-                        "%s holds %d lines but fill/eviction counters "
-                        "predict %d" % (cache.name, cache.occupancy, expected),
-                        {"cache": cache.name, "occupancy": cache.occupancy},
-                    )
 
 
 class DramLegalityAuditor(InvariantAuditor):

@@ -53,6 +53,17 @@ def test_cache_config_rejects_unknown_replacement():
         CacheConfig(size_bytes=32 * 1024, assoc=8, replacement="plru").validate()
 
 
+def test_cache_config_rejects_lines_other_than_64_bytes(config):
+    """Line ids, writeback addresses and DRAM request addresses all
+    assume 64-byte lines, so no level may declare another size."""
+    for line_bytes in (32, 128):
+        with pytest.raises(ConfigError, match="64 bytes"):
+            CacheConfig(size_bytes=32 * 1024, assoc=8, line_bytes=line_bytes).validate()
+    bad = config.copy_with(l1=replace(config.l1, line_bytes=128))
+    with pytest.raises(ConfigError, match="64 bytes"):
+        bad.validate()
+
+
 def test_cache_num_sets():
     cache = CacheConfig(size_bytes=32 * 1024, assoc=8, line_bytes=64)
     assert cache.num_sets == 64

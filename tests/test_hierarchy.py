@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.common.config import CacheConfig
+from repro.common.constants import CACHE_LINE_BYTES, CACHE_LINE_SHIFT
 
 
 @pytest.fixture
@@ -36,19 +38,22 @@ def test_other_core_hits_only_in_llc(hierarchy, config):
 def test_l2_hit_refills_l1(hierarchy, config):
     hierarchy.fill_from_memory(0, 0x100000)
     # Evict from L1 by filling conflicting lines (same L1 set).
+    line = 0x100000 >> CACHE_LINE_SHIFT
     l1_sets = config.l1.num_sets
     for way in range(config.l1.assoc + 1):
-        hierarchy.l1[0].fill(0x100000 + (way + 1) * l1_sets * 64)
+        hierarchy.l1[0].fill(line + (way + 1) * l1_sets)
+    assert not hierarchy.l1[0].contains(line)
     result = hierarchy.access(0, 0x100000)
-    assert result.hit_level in ("l2", "llc")
+    assert result.hit_level == "l2"
     assert hierarchy.access(0, 0x100000).hit_level == "l1"
 
 
 def test_tempo_prefetch_fills_llc_only(hierarchy):
     hierarchy.prefetch_fill_llc(0x200000)
-    assert not hierarchy.l1[0].contains(0x200000)
-    assert not hierarchy.l2[0].contains(0x200000)
-    assert hierarchy.llc.contains(0x200000)
+    line = 0x200000 >> CACHE_LINE_SHIFT
+    assert not hierarchy.l1[0].contains(line)
+    assert not hierarchy.l2[0].contains(line)
+    assert hierarchy.llc.contains(line)
     result = hierarchy.access(0, 0x200000)
     assert result.hit_level == "llc"
 
@@ -57,9 +62,10 @@ def test_imp_prefetch_fills_all_levels(hierarchy):
     # The simulator installs a DRAM-served IMP prefetch like a demand
     # fill: IMP prefetches into the L1.
     hierarchy.fill_from_memory(0, 0x200000)
-    assert hierarchy.l1[0].contains(0x200000)
-    assert hierarchy.l2[0].contains(0x200000)
-    assert hierarchy.llc.contains(0x200000)
+    line = 0x200000 >> CACHE_LINE_SHIFT
+    assert hierarchy.l1[0].contains(line)
+    assert hierarchy.l2[0].contains(line)
+    assert hierarchy.llc.contains(line)
 
 
 def test_drain_writebacks_empty_initially(hierarchy):
@@ -67,27 +73,34 @@ def test_drain_writebacks_empty_initially(hierarchy):
 
 
 def test_dirty_llc_victims_surface_via_drain(config):
-    hierarchy = CacheHierarchy(config, num_cores=1)
-    sets = config.llc.num_sets
-    target_set_stride = sets * 64
-    # Make one line dirty in the LLC, then evict it with conflicting fills.
-    hierarchy.fill_from_memory(0, 0x0, is_write=True)
-    # Write back the dirty line from L1 down to the LLC first.
-    for way in range(config.l1.assoc + 1):
-        hierarchy.fill_from_memory(0, (way + 1) * config.l1.num_sets * 64, is_write=True)
-    for way in range(config.l2.assoc + 2):
-        hierarchy.fill_from_memory(0, (way + 8) * config.l2.num_sets * 64, is_write=True)
-    for way in range(config.llc.assoc + 2):
-        hierarchy.llc.fill((way + 1) * target_set_stride, is_write=True)
-    writebacks = hierarchy.drain_writebacks()
-    assert hierarchy.drain_writebacks() == ()  # drained exactly once
-    assert all(victim.dirty for victim in writebacks)
+    """Eight DRAM fills share one set at every level; the first and the
+    fourth are stores.  Each stored line cascades L1 -> L2 -> LLC as the
+    later fills evict it, and the fourth's writeback into the LLC evicts
+    the first, whose address one drain returns.  Every other line is
+    clean."""
+    tiny = config.copy_with(
+        l1=CacheConfig(size_bytes=128, assoc=2),
+        l2=CacheConfig(size_bytes=128, assoc=2),
+        llc=CacheConfig(size_bytes=256, assoc=4),
+    )
+    hierarchy = CacheHierarchy(tiny, num_cores=1)
+    first = 0x1040
+    stores = (first, first + 3 * CACHE_LINE_BYTES)
+    drained = []
+    for paddr in range(first, first + 8 * CACHE_LINE_BYTES, CACHE_LINE_BYTES):
+        hierarchy.fill_from_memory(0, paddr, is_write=paddr in stores)
+        drained.extend(hierarchy.drain_writebacks())
+    assert drained == [first]
+    assert hierarchy.drain_writebacks() == ()
 
 
-def test_write_miss_fill_marks_l1_dirty(hierarchy):
+def test_write_miss_fill_marks_l1_dirty(hierarchy, config):
     hierarchy.fill_from_memory(0, 0x300000, is_write=True)
-    victim = hierarchy.l1[0].invalidate(0x300000)
-    assert victim is not None and victim.dirty
+    line = 0x300000 >> CACHE_LINE_SHIFT
+    l1 = hierarchy.l1[0]
+    # The conflicting fill that evicts the line returns it: it is dirty.
+    victims = [l1.fill(line + (way + 1) * config.l1.num_sets) for way in range(config.l1.assoc)]
+    assert victims == [None] * (config.l1.assoc - 1) + [line]
 
 
 def test_llc_hit_rate_exposed(hierarchy):
